@@ -1,26 +1,21 @@
 //! Microbenchmarks for the simulator cycle loops: the block-compiled
-//! engines (`asip_sim::block`) and the pre-decoded engines
-//! (`asip_sim::exec`) against the preserved interpretive reference loops
-//! (`asip_sim::reference`), reported as simulated cycles per host second
-//! (MIPS), plus an end-to-end cold-grid wall-time measurement mirroring
-//! `exp_nxm`'s first pass.
+//! engines (`asip_sim::block`) against the preserved interpretive
+//! reference loops (`asip_sim::reference`), reported as simulated cycles
+//! per host second (MIPS), plus an end-to-end cold-grid wall-time
+//! measurement mirroring `exp_nxm`'s first pass.
 //!
 //! Run with `cargo bench -p asip_bench --bench sim_core`. The vendored
 //! criterion shim prints ns/iter per case; this bench additionally prints
-//! a four-way MIPS table (superblock, block, decoded, reference) with
-//! per-case and geomean speedups, which is where the PR-level acceptance
-//! numbers come from ("block ≥ 1.5x geomean over decoded, ≥ 3.5x over
-//! reference"; "superblock ≥ 1.15x geomean over block on the
-//! dispatch-bound tight-loop cases"), and writes the geomeans to
-//! `BENCH_sim.json` so CI can track the trajectory across commits.
+//! a two-way MIPS table (block, reference) with per-case and geomean
+//! speedups, and writes the geomean to `BENCH_sim.json` so CI can track
+//! the trajectory across commits.
 
 use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
 use asip_core::nxm::run_grid;
 use asip_core::{ArtifactCache, Session};
 use asip_isa::{MachineDescription, TargetKind};
 use asip_sim::{
-    reference, BlockScalar, BlockVliw, DecodedScalar, DecodedVliw, ScalarSimulator, SimEngine,
-    SimOptions, Simulator,
+    reference, BlockScalar, BlockVliw, ScalarSimulator, SimEngine, SimOptions, Simulator,
 };
 use asip_workloads::Workload;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -83,10 +78,7 @@ fn mem_stream() -> Workload {
 
 /// Dispatch-bound tight loops: bodies of one or two tiny blocks, so the
 /// per-block dispatcher round trip (guards, scoreboard admission, state
-/// save/restore) dominates over superop execution. These are the cases
-/// the superblock tier exists for — chaining the hot path amortizes one
-/// dispatch over the whole trace — and the `tight` name prefix is how the
-/// headline bench selects them for the superblock acceptance geomean.
+/// save/restore) dominates over superop execution.
 fn tight_loop() -> Workload {
     synthetic(
         "tightloop",
@@ -189,24 +181,15 @@ fn cycles_per_sec(mut f: impl FnMut() -> u64) -> f64 {
     cycles as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Measure one (workload, machine) cell on all four engines; returns
-/// (superblock cycles/s, block cycles/s, decoded cycles/s, reference
-/// cycles/s).
+/// Measure one (workload, machine) cell on both engines; returns
+/// (block cycles/s, reference cycles/s).
 ///
-/// The prepared engines are built **once** and reused across runs,
-/// exactly as production does since the preparation map landed in
-/// `ArtifactCache::get_or_prepare` (repeated measurements of one artifact
-/// hit the prepared form); the reference interpreter re-validates and
-/// re-computes its layout per call, which is its per-cell cost in
-/// production too. The superblock engine's profile state persists across
-/// runs the same way, so after the warmup run its hot traces are formed
-/// and every measured run dispatches them — the steady state a long grid
-/// reaches.
-fn measure(
-    tc: &asip_core::Toolchain,
-    w: &Workload,
-    m: &MachineDescription,
-) -> (f64, f64, f64, f64) {
+/// The block engine is prepared **once** and reused across runs, exactly
+/// as production does through `ArtifactCache::get_or_prepare` (repeated
+/// measurements of one artifact hit the prepared form); the reference
+/// interpreter re-validates and re-computes its layout per call, which is
+/// its per-cell cost in production too.
+fn measure(tc: &asip_core::Toolchain, w: &Workload, m: &MachineDescription) -> (f64, f64) {
     let module = tc.frontend(&w.source).unwrap();
     let profile = tc.profile(&module, &w.inputs, &w.args).unwrap();
     match m.target {
@@ -214,21 +197,9 @@ fn measure(
             let prog = compile_module(&module, m, Some(&profile), &BackendOptions::default())
                 .unwrap()
                 .program;
-            let sp = BlockVliw::with_traces(m, &prog).unwrap();
-            let superblock = cycles_per_sec(|| {
-                sp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
-                    .unwrap()
-                    .cycles
-            });
             let bp = BlockVliw::new(m, &prog).unwrap();
             let block = cycles_per_sec(|| {
                 bp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
-                    .unwrap()
-                    .cycles
-            });
-            let dp = DecodedVliw::new(m, &prog).unwrap();
-            let decoded = cycles_per_sec(|| {
-                dp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
                     .unwrap()
                     .cycles
             });
@@ -237,28 +208,16 @@ fn measure(
                     .unwrap()
                     .cycles
             });
-            (superblock, block, decoded, reference)
+            (block, reference)
         }
         TargetKind::Scalar => {
             let prog =
                 compile_module_scalar(&module, m, Some(&profile), &BackendOptions::default())
                     .unwrap()
                     .program;
-            let sp = BlockScalar::with_traces(m, &prog).unwrap();
-            let superblock = cycles_per_sec(|| {
-                sp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
-                    .unwrap()
-                    .cycles
-            });
             let bp = BlockScalar::new(m, &prog).unwrap();
             let block = cycles_per_sec(|| {
                 bp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
-                    .unwrap()
-                    .cycles
-            });
-            let dp = DecodedScalar::new(m, &prog).unwrap();
-            let decoded = cycles_per_sec(|| {
-                dp.run_with_inputs(&w.inputs, &w.args, SimOptions::default())
                     .unwrap()
                     .cycles
             });
@@ -267,79 +226,44 @@ fn measure(
                     .unwrap()
                     .cycles
             });
-            (superblock, block, decoded, reference)
+            (block, reference)
         }
     }
 }
 
-/// The headline microbenchmark: superblock vs block vs decoded vs
-/// reference MIPS on every case, with the geomean speedups the PR
-/// acceptance criteria track (block ≥ 1.5x geomean over decoded, ≥ 3.5x
-/// over reference; superblock ≥ 1.15x geomean over block on the
-/// dispatch-bound `tight*` cases). The geomeans are also written to
+/// The headline microbenchmark: block vs reference MIPS on every case,
+/// with the geomean speedup. The geomean is also written to
 /// `BENCH_sim.json` for the CI trajectory.
 fn bench_cycle_loops(_c: &mut Criterion) {
     let tc = asip_bench::session().toolchain();
-    let mut table = asip_bench::Table::new(&[
-        "case",
-        "superblock MIPS",
-        "block MIPS",
-        "decoded MIPS",
-        "reference MIPS",
-        "sb/blk",
-        "blk/dec",
-        "blk/ref",
-    ]);
-    let mut over_block = Vec::new();
-    let mut over_block_tight = Vec::new();
-    let mut over_decoded = Vec::new();
+    let mut table = asip_bench::Table::new(&["case", "block MIPS", "reference MIPS", "blk/ref"]);
     let mut over_reference = Vec::new();
     let mut case_lines = Vec::new();
     for (w, m) in cases() {
-        let (sb, blk, dec, r) = measure(tc, &w, &m);
-        over_block.push(sb / blk);
-        if w.name.starts_with("tight") {
-            over_block_tight.push(sb / blk);
-        }
-        over_decoded.push(blk / dec);
+        let (blk, r) = measure(tc, &w, &m);
         over_reference.push(blk / r);
         table.row(vec![
             format!("{}/{}", w.name, m.name),
-            format!("{:.1}", sb / 1e6),
             format!("{:.1}", blk / 1e6),
-            format!("{:.1}", dec / 1e6),
             format!("{:.1}", r / 1e6),
-            format!("{:.2}x", sb / blk),
-            format!("{:.2}x", blk / dec),
             format!("{:.2}x", blk / r),
         ]);
         case_lines.push(format!(
-            "    {{\"case\": \"{}/{}\", \"superblock_mips\": {:.2}, \"block_mips\": {:.2}, \
-             \"decoded_mips\": {:.2}, \"reference_mips\": {:.2}}}",
+            "    {{\"case\": \"{}/{}\", \"block_mips\": {:.2}, \"reference_mips\": {:.2}}}",
             w.name,
             m.name,
-            sb / 1e6,
             blk / 1e6,
-            dec / 1e6,
             r / 1e6,
         ));
     }
-    let gm_sb = asip_bench::geomean(&over_block);
-    let gm_sb_tight = asip_bench::geomean(&over_block_tight);
-    let gm_dec = asip_bench::geomean(&over_decoded);
     let gm_ref = asip_bench::geomean(&over_reference);
     println!("\nsim-core cycle loops (cycles simulated per host second)");
     println!("{}", table.render());
-    println!("geomean superblock/block speedup: {gm_sb:.2}x (dispatch-bound: {gm_sb_tight:.2}x)");
-    println!("geomean block/decoded speedup:   {gm_dec:.2}x");
     println!("geomean block/reference speedup: {gm_ref:.2}x\n");
     // Machine-readable trajectory for CI: per-case MIPS plus the headline
-    // geomeans, schema-stable so successive commits diff cleanly.
+    // geomean, schema-stable so successive commits diff cleanly.
     let json = format!(
         "{{\n  \"bench\": \"sim_core\",\n  \"geomean\": {{\n    \
-         \"superblock_over_block\": {gm_sb:.3},\n    \
-         \"superblock_over_block_dispatch_bound\": {gm_sb_tight:.3},\n    \
-         \"block_over_decoded\": {gm_dec:.3},\n    \
          \"block_over_reference\": {gm_ref:.3}\n  }},\n  \"cases\": [\n{}\n  ]\n}}\n",
         case_lines.join(",\n")
     );
@@ -366,24 +290,14 @@ fn bench_engine_ns(c: &mut Criterion) {
         engine,
         ..SimOptions::default()
     };
-    let mut sbsim = Simulator::new(&m, &prog, opts(SimEngine::Superblock)).unwrap();
     let mut bsim = Simulator::new(&m, &prog, opts(SimEngine::Block)).unwrap();
-    let mut sim = Simulator::new(&m, &prog, opts(SimEngine::Decoded)).unwrap();
     for (name, data) in &w.inputs {
-        sbsim.write_global(name, data);
         bsim.write_global(name, data);
-        sim.write_global(name, data);
     }
     let mut g = c.benchmark_group("vliw-cycle-loop");
     g.sample_size(10);
-    g.bench_function("crc32-ember4-superblock", |b| {
-        b.iter(|| black_box(sbsim.run(&w.args).unwrap()))
-    });
     g.bench_function("crc32-ember4-block", |b| {
         b.iter(|| black_box(bsim.run(&w.args).unwrap()))
-    });
-    g.bench_function("crc32-ember4-decoded", |b| {
-        b.iter(|| black_box(sim.run(&w.args).unwrap()))
     });
     g.bench_function("crc32-ember4-reference", |b| {
         b.iter(|| {
@@ -399,24 +313,14 @@ fn bench_engine_ns(c: &mut Criterion) {
     let sprog = compile_module_scalar(&module, &s2, None, &BackendOptions::default())
         .unwrap()
         .program;
-    let mut sbssim = ScalarSimulator::new(&s2, &sprog, opts(SimEngine::Superblock)).unwrap();
     let mut bssim = ScalarSimulator::new(&s2, &sprog, opts(SimEngine::Block)).unwrap();
-    let mut ssim = ScalarSimulator::new(&s2, &sprog, opts(SimEngine::Decoded)).unwrap();
     for (name, data) in &w.inputs {
-        sbssim.write_global(name, data);
         bssim.write_global(name, data);
-        ssim.write_global(name, data);
     }
     let mut g = c.benchmark_group("scalar-cycle-loop");
     g.sample_size(10);
-    g.bench_function("crc32-scalar2-superblock", |b| {
-        b.iter(|| black_box(sbssim.run(&w.args).unwrap()))
-    });
     g.bench_function("crc32-scalar2-block", |b| {
         b.iter(|| black_box(bssim.run(&w.args).unwrap()))
-    });
-    g.bench_function("crc32-scalar2-decoded", |b| {
-        b.iter(|| black_box(ssim.run(&w.args).unwrap()))
     });
     g.bench_function("crc32-scalar2-reference", |b| {
         b.iter(|| {

@@ -112,26 +112,6 @@ pub fn session_summary() -> String {
             stage_lat.join(" | ")
         ));
     }
-    // Superblock trace activity (nonzero only under the superblock
-    // engine): formation and dispatch volume, plus how often traces bailed
-    // sideways (side exit: the dominant successor prediction missed) or
-    // never entered (fallback: an entry guard failed).
-    let formed = snap.counter("sim.trace.formed");
-    if formed > 0 {
-        let entries = snap.counter("sim.trace.entries");
-        let side_exits = snap.counter("sim.trace.side_exits");
-        let fallbacks = snap.counter("sim.trace.fallbacks");
-        #[allow(clippy::cast_precision_loss)]
-        let side_pct = if entries == 0 {
-            0.0
-        } else {
-            100.0 * side_exits as f64 / entries as f64
-        };
-        out.push_str(&format!(
-            "\n[session] superblocks: {formed} traces formed, {entries} entries, \
-             {side_exits} side exits ({side_pct:.1}%), {fallbacks} guard fallbacks"
-        ));
-    }
     let (recorded, dropped) = asip_obs::span_totals();
     if recorded > 0 {
         out.push_str(&format!(

@@ -283,11 +283,11 @@ pub struct CacheStats {
     /// (target, artifact, machine, sim options, inputs, args) → simulation
     /// result. A hit skips the cycle-level simulation entirely.
     pub simulate: StageStats,
-    /// (engine, target, machine, program) → prepared simulation engine
-    /// (validated + decoded/block-compiled program). A hit reuses the
+    /// (target, machine, program) → prepared block engine (validated,
+    /// pre-decoded and block-partitioned program). A hit reuses the
     /// in-memory preparation across runs of the same artifact — e.g. the
     /// same cell under different inputs — instead of re-validating and
-    /// re-decoding per run. Process-local only (never persisted): the
+    /// re-preparing per run. Process-local only (never persisted): the
     /// prepared forms are cheap to rebuild and not serializable.
     pub decode: StageStats,
     /// Memory-tier artifacts evicted to stay under the byte budget.
@@ -521,10 +521,10 @@ pub struct ArtifactCache {
     /// (cache hits add nothing): the numerator of the session throughput
     /// (MIPS) report.
     sim_cycles: AtomicU64,
-    /// Prepared simulation engines, keyed by (engine, target, machine,
-    /// program): validated + decoded/block-compiled forms shared across
-    /// runs of the same artifact. Type-erased because the four prepared
-    /// shapes (VLIW/scalar × decoded/block) share no trait; process-local
+    /// Prepared block engines, keyed by (target, machine, program):
+    /// validated, block-partitioned forms shared across runs of the same
+    /// artifact. Type-erased because the two prepared shapes
+    /// (`BlockVliw`/`BlockScalar`) share no trait; process-local
     /// only (not a [`CacheStore`] tier — the forms are not serializable,
     /// and rebuilding them is microseconds).
     prepared: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
@@ -533,9 +533,10 @@ pub struct ArtifactCache {
 }
 
 /// Bound on distinct prepared simulations held at once. Each entry is a
-/// decoded program (kilobytes); the map is wiped wholesale past the cap —
-/// a crude policy that is fine because re-preparing is microseconds and
-/// real sessions hold far fewer distinct (machine, program) pairs.
+/// block-compiled program (kilobytes); the map is wiped wholesale past
+/// the cap — a crude policy that is fine because re-preparing is
+/// microseconds and real sessions hold far fewer distinct (machine,
+/// program) pairs.
 const PREPARED_CAP: usize = 512;
 
 impl ArtifactCache {
@@ -683,14 +684,12 @@ impl ArtifactCache {
     }
 
     /// Look up (or build and retain) a **prepared simulation** under
-    /// `key` — a validated, decoded or block-compiled program ready to
-    /// run. Counted in [`CacheStats::decode`]. `build` runs outside the
-    /// lock: a racing duplicate preparation is tolerated (both copies are
-    /// equivalent; last insert wins). Keys must render everything the
-    /// preparation reads — engine, target flavor, machine tables, program
-    /// — so distinct preparations can never alias; the engine tag also
-    /// keeps the map from serving a decoded form where a block-compiled
-    /// one was requested.
+    /// `key` — a validated, block-compiled program ready to run. Counted
+    /// in [`CacheStats::decode`]. `build` runs outside the lock: a racing
+    /// duplicate preparation is tolerated (both copies are equivalent;
+    /// last insert wins). Keys must render everything the preparation
+    /// reads — target flavor, machine tables, program — so distinct
+    /// preparations can never alias.
     ///
     /// # Errors
     ///

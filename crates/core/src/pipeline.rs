@@ -63,9 +63,7 @@ use asip_ir::Module;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{MachineDescription, TargetKind};
 use asip_sim::reference::{run_scalar_reference, run_vliw_reference};
-use asip_sim::{
-    BlockScalar, BlockVliw, DecodedScalar, DecodedVliw, SimEngine, SimOptions, SimResult,
-};
+use asip_sim::{BlockScalar, BlockVliw, SimEngine, SimOptions, SimResult};
 use asip_workloads::Workload;
 use std::fmt;
 use std::sync::Arc;
@@ -544,11 +542,10 @@ impl Toolchain {
     }
 
     /// The prepared-simulation key (see [`ArtifactCache::get_or_prepare`]):
-    /// everything a preparation reads — engine, target flavor, machine
-    /// tables, program — with the program codec-rendered like
-    /// [`Toolchain::simulate_key`]. Unlike Simulate keys this one *does*
-    /// carry the engine: a decoded and a block-compiled preparation of the
-    /// same program are different objects.
+    /// everything a preparation reads — target flavor, machine tables,
+    /// program — with the program codec-rendered like
+    /// [`Toolchain::simulate_key`]. Only the block engine prepares, so the
+    /// key carries no engine tag.
     fn prepare_key<P: Codec>(
         &self,
         flavor: TargetKind,
@@ -557,18 +554,15 @@ impl Toolchain {
     ) -> String {
         let mut blob = Writer::new();
         program.encode(&mut blob);
-        let key = format!(
-            "{}\u{1f}{flavor}\u{1f}{machine:?}\u{1f}",
-            self.sim.engine.name()
-        );
+        let key = format!("{flavor}\u{1f}{machine:?}\u{1f}");
         hex_expand(key.into_bytes(), &blob.into_bytes())
     }
 
-    /// One VLIW measurement on the configured [`SimEngine`]. The decoded
-    /// and block engines run from a prepared form served by the cache's
+    /// One VLIW measurement on the configured [`SimEngine`]. The block
+    /// engine runs from a prepared form served by the cache's
     /// process-local preparation map ([`CacheStats::decode`]), so repeated
-    /// runs of the same artifact skip validation + decode; the reference
-    /// interpreter prepares nothing by design.
+    /// runs of the same artifact skip validation + block discovery; the
+    /// reference interpreter prepares nothing by design.
     fn simulate_vliw(
         &self,
         w: &Workload,
@@ -580,25 +574,11 @@ impl Toolchain {
             SimEngine::Reference => Ok(run_vliw_reference(
                 machine, program, &w.inputs, &w.args, self.sim,
             )?),
-            SimEngine::Decoded => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let d = self
-                    .cache
-                    .get_or_prepare(key, || Ok(DecodedVliw::new(machine, program)?))?;
-                Ok(d.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
             SimEngine::Block => {
                 let key = self.prepare_key(TargetKind::Vliw, machine, program);
                 let b = self
                     .cache
                     .get_or_prepare(key, || Ok(BlockVliw::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Superblock => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockVliw::with_traces(machine, program)?))?;
                 Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
             }
         }
@@ -617,25 +597,11 @@ impl Toolchain {
             SimEngine::Reference => Ok(run_scalar_reference(
                 machine, program, &w.inputs, &w.args, self.sim,
             )?),
-            SimEngine::Decoded => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let d = self
-                    .cache
-                    .get_or_prepare(key, || Ok(DecodedScalar::new(machine, program)?))?;
-                Ok(d.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
             SimEngine::Block => {
                 let key = self.prepare_key(TargetKind::Scalar, machine, program);
                 let b = self
                     .cache
                     .get_or_prepare(key, || Ok(BlockScalar::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-            SimEngine::Superblock => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockScalar::with_traces(machine, program)?))?;
                 Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
             }
         }

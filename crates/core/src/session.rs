@@ -67,38 +67,21 @@ pub const THREADS_ENV: &str = "ASIP_GRID_THREADS";
 
 /// Environment variable overriding the default simulation engine.
 ///
-/// Accepts `reference`, `decoded`, `block` or `superblock`
-/// (case-insensitive; unparseable values are ignored). Precedence mirrors
-/// [`THREADS_ENV`]: an explicit [`SessionBuilder::sim_engine`] call
-/// always wins, this variable feeds the builder's *default* (via
-/// [`default_engine`]), and with neither the engine is
-/// [`SimEngine::default`] (the block compiler). The engine can never
-/// change a measurement — all four produce bit-identical `SimResult`s
-/// (pinned by the differential suites) — so Simulate cache keys
-/// deliberately exclude it.
+/// Accepts `reference` or `block` (case-insensitive); any other value —
+/// the former `decoded` and `superblock` names included — is ignored.
+/// Precedence mirrors [`THREADS_ENV`]: an explicit
+/// [`SessionBuilder::sim_engine`] call always wins, this variable feeds
+/// the builder's *default* (via [`default_engine`]), and with neither
+/// the engine is [`SimEngine::default`] (the block compiler). The engine
+/// can never change a measurement — both produce bit-identical
+/// `SimResult`s (pinned by the differential suites) — so Simulate cache
+/// keys deliberately exclude it.
 pub const ENGINE_ENV: &str = "ASIP_SIM_ENGINE";
-
-/// Environment variable overriding the superblock promotion threshold:
-/// how many dispatches a hot loop-header block must accumulate before the
-/// superblock engine chains a trace through it (default 64). Only the
-/// `superblock` engine reads it. Precedence mirrors [`ENGINE_ENV`]: an
-/// explicit [`SessionBuilder::sb_threshold`] call wins, then this
-/// variable (positive integers only), then the default. Thresholds tune
-/// *when* traces form, never what they compute, so Simulate cache keys
-/// exclude this knob too.
-pub const SB_THRESHOLD_ENV: &str = "ASIP_SB_THRESHOLD";
 
 fn engine_from_env() -> Option<SimEngine> {
     std::env::var(ENGINE_ENV)
         .ok()
         .and_then(|v| SimEngine::parse(&v))
-}
-
-fn sb_threshold_from_env() -> Option<u32> {
-    std::env::var(SB_THRESHOLD_ENV)
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// Default simulation engine: the `ASIP_SIM_ENGINE` environment variable
@@ -137,7 +120,6 @@ pub struct SessionBuilder {
     cache: Option<Arc<ArtifactCache>>,
     threads: Option<usize>,
     engine: Option<SimEngine>,
-    sb_threshold: Option<u32>,
     trace: Option<std::path::PathBuf>,
 }
 
@@ -166,17 +148,6 @@ impl SessionBuilder {
     /// bit-identical, and Simulate cache keys exclude the engine.
     pub fn sim_engine(mut self, engine: SimEngine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Set the superblock promotion threshold: dispatches a hot
-    /// loop-header block must accumulate before the superblock engine
-    /// chains a trace through it. Defaults to the `ASIP_SB_THRESHOLD`
-    /// environment variable, or 64. Only read by
-    /// [`SimEngine::Superblock`]; like the engine itself it never changes
-    /// a measurement, so Simulate cache keys exclude it.
-    pub fn sb_threshold(mut self, threshold: u32) -> Self {
-        self.sb_threshold = Some(threshold.max(1));
         self
     }
 
@@ -296,10 +267,6 @@ impl SessionBuilder {
             .engine
             .or_else(engine_from_env)
             .unwrap_or(tc.sim.engine);
-        tc.sim.sb_threshold = self
-            .sb_threshold
-            .or_else(sb_threshold_from_env)
-            .unwrap_or(tc.sim.sb_threshold);
         Session {
             tc,
             threads: self.threads.unwrap_or_else(default_threads),

@@ -1,23 +1,16 @@
-//! Basic-block discovery and loop detection over a linear instruction
-//! stream — the control-flow analysis behind block-compiled execution.
+//! Basic-block discovery over a linear instruction stream — the
+//! control-flow analysis behind block-compiled execution.
 //!
-//! The rebundling translator ([`crate::translate`]) already carried the
-//! intra-bundle half of this machinery (Tarjan SCC over read/write hazard
-//! edges); this module promotes the *inter*-instruction half into a
-//! reusable analysis: partition a program's pcs into maximal straight-line
-//! **basic blocks**, and run an iterative Tarjan SCC over the block graph
-//! to mark which blocks sit on cycles (loop bodies — the blocks a
-//! block-compiling simulator translates once and executes many times).
+//! The rebundling translator ([`crate::translate`]) carries the
+//! intra-bundle half of this machinery; this module promotes the
+//! *inter*-instruction half into a reusable analysis: partition a
+//! program's pcs into maximal straight-line **basic blocks** — the units a
+//! block-compiling simulator translates once and executes many times.
 //!
 //! The input is deliberately minimal: one [`Ctrl`] summary per pc plus the
 //! set of entry points. Both the VLIW engine (one `Ctrl` per bundle) and
 //! the scalar engine (one per instruction) lower to it, so the analysis is
 //! shared rather than duplicated per target kind.
-//!
-//! Tarjan is **iterative** (explicit stack), like the hazard-ordering SCC
-//! in [`crate::translate`]: programs are deep chains of fall-through
-//! blocks, and a recursive lowlink walk would overflow the stack on large
-//! inputs.
 //!
 //! # Example
 //!
@@ -38,8 +31,7 @@
 //! // Three blocks: [0,1) prologue, [1,3) loop body, [3,4) epilogue.
 //! assert_eq!(map.blocks.len(), 3);
 //! assert_eq!(map.block_at(1).range, (1, 3));
-//! assert!(map.block_at(1).in_loop, "back edge puts the body on a cycle");
-//! assert!(!map.block_at(0).in_loop);
+//! assert_eq!(map.block_at(2).start(), 1, "pc 2 lies inside the body");
 //! ```
 
 /// Control-flow summary of one pc (bundle or instruction): how execution
@@ -74,12 +66,6 @@ impl Ctrl {
 pub struct BasicBlock {
     /// Half-open pc range `[start, end)`.
     pub range: (u32, u32),
-    /// Whether the block lies on a cycle of the block graph (a loop body —
-    /// including one-block self loops and every block of an irreducible
-    /// region). Computed by Tarjan SCC: a block is `in_loop` iff its
-    /// strongly connected component is nontrivial, or it carries a self
-    /// edge.
-    pub in_loop: bool,
 }
 
 impl BasicBlock {
@@ -125,15 +111,9 @@ impl BlockMap {
     pub fn block_at(&self, pc: u32) -> &BasicBlock {
         &self.blocks[self.block_of[pc as usize] as usize]
     }
-
-    /// Number of blocks marked as loop bodies.
-    pub fn loop_blocks(&self) -> usize {
-        self.blocks.iter().filter(|b| b.in_loop).count()
-    }
 }
 
-/// Partition `ctrl` (one summary per pc) into basic blocks and mark loop
-/// bodies.
+/// Partition `ctrl` (one summary per pc) into basic blocks.
 ///
 /// **Leaders** — pcs that start a block — are: every entry point, every
 /// static jump/call target, and every pc following a block-ending pc
@@ -142,12 +122,6 @@ impl BlockMap {
 /// which is a leader by the fall-through rule. (Consumers that allow
 /// *computed* link registers must still handle a transfer into the middle
 /// of a block — see the block engine's mid-block slow path.)
-///
-/// The successor graph for loop detection has an edge per possible static
-/// transfer: fall-through, jump/conditional targets, and call entries
-/// (recursive call cycles mark their blocks `in_loop`, which is exactly
-/// the translate-once-execute-many signal the consumer wants). `Ret` and
-/// `Halt` have no static successors.
 ///
 /// Returns an empty map for an empty program.
 ///
@@ -186,7 +160,6 @@ pub fn discover(ctrl: &[Ctrl], entries: &[u32]) -> BlockMap {
         if pc > start && leader[pc] {
             blocks.push(BasicBlock {
                 range: (start as u32, pc as u32),
-                in_loop: false,
             });
             start = pc;
         }
@@ -194,7 +167,6 @@ pub fn discover(ctrl: &[Ctrl], entries: &[u32]) -> BlockMap {
         if ctrl[pc].ends_block() {
             blocks.push(BasicBlock {
                 range: (start as u32, pc as u32 + 1),
-                in_loop: false,
             });
             start = pc + 1;
         }
@@ -202,150 +174,10 @@ pub fn discover(ctrl: &[Ctrl], entries: &[u32]) -> BlockMap {
     if start < n {
         blocks.push(BasicBlock {
             range: (start as u32, n as u32),
-            in_loop: false,
         });
     }
 
-    // 3. Successor edges between blocks.
-    let nb = blocks.len();
-    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); nb];
-    for (bi, b) in blocks.iter().enumerate() {
-        let last = (b.range.1 - 1) as usize;
-        let mut push = |t: u32| {
-            let s = block_of[t as usize];
-            if !succs[bi].contains(&s) {
-                succs[bi].push(s);
-            }
-        };
-        match ctrl[last] {
-            Ctrl::FallThrough => {
-                if (last + 1) < n {
-                    push(last as u32 + 1);
-                }
-            }
-            Ctrl::Jump(t) => push(t),
-            Ctrl::CondJump(t) => {
-                push(t);
-                if (last + 1) < n {
-                    push(last as u32 + 1);
-                }
-            }
-            Ctrl::Call(t) => push(t),
-            Ctrl::Ret | Ctrl::Halt => {}
-        }
-    }
-
-    // 4. Iterative Tarjan SCC over the block graph; nontrivial components
-    //    (or self edges) are loop bodies. Same explicit-stack shape as the
-    //    hazard-ordering SCC in `translate::order_bundle_ops`.
-    let mut index = vec![usize::MAX; nb];
-    let mut lowlink = vec![0usize; nb];
-    let mut on_stack = vec![false; nb];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut in_loop = vec![false; nb];
-    // Work frames: (node, next-successor cursor).
-    let mut work: Vec<(usize, usize)> = Vec::new();
-    for root in 0..nb {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        work.push((root, 0));
-        while let Some(&mut (v, ref mut cursor)) = work.last_mut() {
-            if *cursor == 0 {
-                index[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = succs[v].get(*cursor) {
-                *cursor += 1;
-                let w = w as usize;
-                if index[w] == usize::MAX {
-                    work.push((w, 0));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                work.pop();
-                if let Some(&(parent, _)) = work.last() {
-                    lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    // Root of an SCC: pop the component.
-                    let mut comp = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    let cyclic = comp.len() > 1 || succs[comp[0]].contains(&(comp[0] as u32));
-                    if cyclic {
-                        for &w in &comp {
-                            in_loop[w] = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    for (b, flag) in blocks.iter_mut().zip(in_loop) {
-        b.in_loop = flag;
-    }
-
     BlockMap { blocks, block_of }
-}
-
-/// Grow a superblock trace from `head`: follow each block's dominant
-/// successor (supplied by `next` — typically a runtime edge profile) for as
-/// long as the path stays inside the loop region and enters blocks at their
-/// leaders, bounded by `max_blocks` chain segments and `max_pcs` total pcs.
-///
-/// Returns the chain as block indices into `map.blocks`, always starting
-/// with `head`. The chain may revisit blocks — a self-loop or short cycle
-/// unrolls up to the caps, which is exactly what a trace-dispatching
-/// consumer wants (each revisit it chains through is a dispatch saved).
-/// Callers decide viability (a single-segment chain is not a trace) and
-/// encode their own stop conditions by returning `None` from `next`
-/// (low edge confidence, a block their translator refused, …).
-///
-/// The walk stops at:
-/// * `next` returning `None` (the caller's profile ran out of confidence);
-/// * a successor entering a block *mid-range* (`pc` not the block's start —
-///   a computed target the block partition cannot chain through);
-/// * a successor leaving the loop region (`in_loop == false`);
-/// * either cap.
-pub fn grow_trace(
-    map: &BlockMap,
-    head: usize,
-    max_blocks: usize,
-    max_pcs: u32,
-    mut next: impl FnMut(usize) -> Option<u32>,
-) -> Vec<u32> {
-    let mut chain = vec![head as u32];
-    let mut pcs = map.blocks[head].len();
-    loop {
-        if chain.len() >= max_blocks {
-            break;
-        }
-        let cur = *chain.last().unwrap() as usize;
-        let Some(pc) = next(cur) else { break };
-        let nb = map.block_of[pc as usize] as usize;
-        let blk = &map.blocks[nb];
-        if pc != blk.start() || !blk.in_loop {
-            break;
-        }
-        if pcs + blk.len() > max_pcs {
-            break;
-        }
-        pcs += blk.len();
-        chain.push(nb as u32);
-    }
-    chain
 }
 
 #[cfg(test)]
@@ -358,7 +190,6 @@ mod tests {
         let map = discover(&ctrl, &[0]);
         assert_eq!(map.blocks.len(), 1);
         assert_eq!(map.blocks[0].range, (0, 3));
-        assert!(!map.blocks[0].in_loop);
         assert_eq!(map.block_of, vec![0, 0, 0]);
     }
 
@@ -379,7 +210,6 @@ mod tests {
         let map = discover(&ctrl, &[0]);
         let ranges: Vec<_> = map.blocks.iter().map(|b| b.range).collect();
         assert_eq!(ranges, vec![(0, 1), (1, 3), (3, 4), (4, 5)]);
-        assert!(map.blocks.iter().all(|b| !b.in_loop), "acyclic graph");
     }
 
     #[test]
@@ -399,14 +229,13 @@ mod tests {
         let map = discover(&ctrl, &[0, 3]);
         assert_eq!(map.block_at(1).range.0, 1, "return site starts a block");
         assert_eq!(map.block_at(3).range, (3, 5));
-        assert!(!map.block_at(3).in_loop, "non-recursive call is no loop");
     }
 
     #[test]
-    fn self_loop_and_simple_loop_marked() {
-        // 0: jump -> 0   (self loop)
+    fn back_edge_target_starts_the_loop_body() {
+        // 0: jump -> 0   (self loop): one block.
         let map = discover(&[Ctrl::Jump(0)], &[0]);
-        assert!(map.blocks[0].in_loop, "self edge is a cycle");
+        assert_eq!(map.blocks.len(), 1);
 
         // 0: prologue; 1..3 body; 2: cond -> 1; 3: halt
         let ctrl = [
@@ -416,26 +245,20 @@ mod tests {
             Ctrl::Halt,
         ];
         let map = discover(&ctrl, &[0]);
-        assert_eq!(map.loop_blocks(), 1);
-        assert!(map.block_at(1).in_loop);
-        assert!(!map.block_at(0).in_loop);
-        assert!(!map.block_at(3).in_loop);
+        let ranges: Vec<_> = map.blocks.iter().map(|b| b.range).collect();
+        assert_eq!(ranges, vec![(0, 1), (1, 3), (3, 4)]);
     }
 
-    /// The satellite pin: Tarjan SCC partitioning on an **irreducible**
-    /// CFG — a loop with two distinct entry edges, which no natural-loop
-    /// (back-edge dominator) analysis would classify, but an SCC treats
-    /// uniformly: every block on the cycle is a loop body, blocks off the
-    /// cycle are not.
+    /// A region with two distinct entry edges (irreducible control flow)
+    /// still partitions at every entry: each transfer target is a leader.
     #[test]
-    fn irreducible_two_entry_loop_partitions_by_scc() {
+    fn two_entry_region_splits_at_each_entry() {
         // 0: cond -> 4 | 1      (dispatch: enter the region at A or B)
         // 1: fallthrough        } A
-        // 2: cond -> 4 | 3      } A: edge into B (mid-region)
+        // 2: cond -> 4 | 3      } A: edge into B
         // 3: halt               (exit)
         // 4: fallthrough        } B
-        // 5: cond -> 1 | 6      } B: edge back into A — irreducible:
-        //                         both A and B have outside entry edges
+        // 5: cond -> 1 | 6      } B: edge back into A
         // 6: halt
         let ctrl = [
             Ctrl::CondJump(4),
@@ -448,29 +271,8 @@ mod tests {
         ];
         let map = discover(&ctrl, &[0]);
         let ranges: Vec<_> = map.blocks.iter().map(|b| b.range).collect();
-        assert_eq!(
-            ranges,
-            vec![(0, 1), (1, 3), (3, 4), (4, 6), (6, 7)],
-            "block partition"
-        );
-        // A (pcs 1-2) and B (pcs 4-5) form one SCC through the 2→4 and
-        // 5→1 edges; dispatch and the two exits do not.
-        assert!(map.block_at(1).in_loop, "region A is on the cycle");
-        assert!(map.block_at(4).in_loop, "region B is on the cycle");
-        assert!(!map.block_at(0).in_loop, "dispatch block");
-        assert!(!map.block_at(3).in_loop, "exit block");
-        assert!(!map.block_at(6).in_loop, "exit block");
-        assert_eq!(map.loop_blocks(), 2);
-    }
-
-    #[test]
-    fn recursive_call_cycle_is_a_loop() {
-        // 0: entry calls 2; 1: halt; 2: body cond-call itself via 2: call->2?
-        // Use: 2: cond -> 4|3? Simpler: 2: call -> 2 is direct recursion.
-        let ctrl = [Ctrl::Call(2), Ctrl::Halt, Ctrl::Call(2), Ctrl::Ret];
-        let map = discover(&ctrl, &[0, 2]);
-        assert!(map.block_at(2).in_loop, "self-recursive callee");
-        assert!(!map.block_at(0).in_loop);
+        assert_eq!(ranges, vec![(0, 1), (1, 3), (3, 4), (4, 6), (6, 7)]);
+        assert_eq!(map.block_of, vec![0, 1, 1, 2, 3, 3, 4]);
     }
 
     #[test]
@@ -478,62 +280,5 @@ mod tests {
         let map = discover(&[], &[]);
         assert!(map.blocks.is_empty());
         assert!(map.block_of.is_empty());
-    }
-
-    /// Two-block loop: the dominant path closes the cycle, and the walker
-    /// unrolls it around the cycle up to the block cap.
-    #[test]
-    fn grow_trace_unrolls_a_two_block_loop() {
-        // 0: prologue; 1-2: A (cond -> 4 side exit); 3: B jump -> 1; 4: halt
-        let ctrl = [
-            Ctrl::FallThrough,
-            Ctrl::FallThrough,
-            Ctrl::CondJump(4),
-            Ctrl::Jump(1),
-            Ctrl::Halt,
-        ];
-        let map = discover(&ctrl, &[0]);
-        let a = map.block_of[1] as usize;
-        let b = map.block_of[3] as usize;
-        assert!(map.blocks[a].in_loop && map.blocks[b].in_loop);
-        // Dominant edges: A falls through to B, B jumps back to A.
-        let chain = grow_trace(&map, a, 6, 64, |cur| {
-            if cur == a {
-                Some(map.blocks[b].start())
-            } else {
-                Some(map.blocks[a].start())
-            }
-        });
-        assert_eq!(
-            chain,
-            vec![a as u32, b as u32, a as u32, b as u32, a as u32, b as u32]
-        );
-    }
-
-    #[test]
-    fn grow_trace_respects_caps_and_stop_conditions() {
-        let ctrl = [
-            Ctrl::FallThrough,
-            Ctrl::FallThrough,
-            Ctrl::CondJump(1),
-            Ctrl::Halt,
-        ];
-        let map = discover(&ctrl, &[0]);
-        let body = map.block_of[1] as usize;
-        assert!(map.blocks[body].in_loop);
-        // The pc cap truncates an otherwise-infinite self-chain: the body
-        // is 2 pcs, so 7 pcs admits 3 segments (head + 2 revisits).
-        let chain = grow_trace(&map, body, 64, 7, |_| Some(1));
-        assert_eq!(chain.len(), 3);
-        assert!(chain.iter().all(|&b| b == body as u32));
-        // A mid-block successor pc stops the walk immediately.
-        let chain = grow_trace(&map, body, 8, 64, |_| Some(2));
-        assert_eq!(chain, vec![body as u32]);
-        // A successor outside the loop region stops the walk.
-        let chain = grow_trace(&map, body, 8, 64, |_| Some(3));
-        assert_eq!(chain, vec![body as u32]);
-        // The caller's profile running dry stops the walk.
-        let chain = grow_trace(&map, body, 8, 64, |_| None);
-        assert_eq!(chain, vec![body as u32]);
     }
 }

@@ -216,6 +216,10 @@ pub fn default_fault_plan() -> Option<FaultPlan> {
     FaultPlan::parse(&spec).ok()
 }
 
+/// One plan's live decision state. The process-global hooks lock the
+/// installed state and delegate here; the decision-stream unit tests
+/// drive a local value, so they never install (or race on) the global
+/// plan.
 struct FaultState {
     plan: FaultPlan,
     /// SplitMix64 state: the whole decision stream derives from the seed.
@@ -238,9 +242,60 @@ fn splitmix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[allow(clippy::cast_precision_loss)]
-fn hit(state: &mut FaultState, p: f64) -> bool {
-    p > 0.0 && (splitmix(&mut state.rng) as f64) < p * (u64::MAX as f64)
+impl FaultState {
+    fn new(plan: FaultPlan, explicit: bool) -> FaultState {
+        FaultState {
+            rng: plan.seed,
+            plan,
+            eval_requests: 0,
+            explicit,
+        }
+    }
+
+    #[allow(clippy::cast_precision_loss)]
+    fn hit(&mut self, p: f64) -> bool {
+        p > 0.0 && (splitmix(&mut self.rng) as f64) < p * (u64::MAX as f64)
+    }
+
+    /// The decision behind [`on_write`].
+    fn on_write(&mut self, frame: &mut [u8]) -> WriteFault {
+        if self.hit(self.plan.drop) {
+            OBS_DROP.add(1);
+            return WriteFault::Drop;
+        }
+        if !frame.is_empty() && self.hit(self.plan.torn) {
+            let cut = 1 + (splitmix(&mut self.rng) as usize) % frame.len().max(2).saturating_sub(1);
+            OBS_TORN.add(1);
+            return WriteFault::Torn(cut.min(frame.len() - 1).max(1));
+        }
+        if !frame.is_empty() && self.hit(self.plan.corrupt) {
+            let bit = (splitmix(&mut self.rng) as usize) % (frame.len() * 8);
+            frame[bit / 8] ^= 1 << (bit % 8);
+            OBS_CORRUPT.add(1);
+        }
+        WriteFault::Pass
+    }
+
+    /// The decision behind [`maybe_stall`]: how long to sleep, if at all.
+    fn stall(&mut self) -> Option<Duration> {
+        self.hit(self.plan.stall_p).then_some(self.plan.stall)
+    }
+
+    /// The decision behind [`on_eval`].
+    fn on_eval(&mut self) -> EvalFault {
+        self.eval_requests += 1;
+        if let Some(n) = self.plan.crash_after {
+            if self.eval_requests >= n {
+                OBS_CRASH.add(1);
+                return EvalFault::Crash;
+            }
+        }
+        if self.hit(self.plan.busy) {
+            OBS_BUSY.add(1);
+            return EvalFault::Busy;
+        }
+        EvalFault::Pass
+    }
 }
 
 fn set_state(state: Option<FaultState>) {
@@ -253,13 +308,7 @@ fn set_state(state: Option<FaultState>) {
 /// [`init_from_env`] calls are no-ops until [`clear`]. Installing a
 /// no-op plan explicitly *disables* injection (builder-off beats env-on).
 pub fn install(plan: FaultPlan) {
-    let rng = plan.seed;
-    set_state(Some(FaultState {
-        plan,
-        rng,
-        eval_requests: 0,
-        explicit: true,
-    }));
+    set_state(Some(FaultState::new(plan, true)));
 }
 
 /// Activate the [`FAULTS_ENV`] plan unless a plan is already in place
@@ -274,14 +323,8 @@ pub fn init_from_env() {
     let Some(plan) = default_fault_plan() else {
         return;
     };
-    let rng = plan.seed;
     let noop = plan.is_noop();
-    *state = Some(FaultState {
-        plan,
-        rng,
-        eval_requests: 0,
-        explicit: false,
-    });
+    *state = Some(FaultState::new(plan, false));
     drop(state);
     ACTIVE.store(!noop, Ordering::Relaxed);
 }
@@ -322,40 +365,17 @@ pub enum WriteFault {
 /// Decide the fate of one outgoing frame; may flip one bit of `frame` in
 /// place. Call only when [`active`].
 pub fn on_write(frame: &mut [u8]) -> WriteFault {
-    let mut guard = STATE.lock().unwrap();
-    let Some(state) = guard.as_mut() else {
-        return WriteFault::Pass;
-    };
-    if hit(state, state.plan.drop) {
-        OBS_DROP.add(1);
-        return WriteFault::Drop;
-    }
-    if !frame.is_empty() && hit(state, state.plan.torn) {
-        let cut = 1 + (splitmix(&mut state.rng) as usize) % frame.len().max(2).saturating_sub(1);
-        OBS_TORN.add(1);
-        return WriteFault::Torn(cut.min(frame.len() - 1).max(1));
-    }
-    if !frame.is_empty() && hit(state, state.plan.corrupt) {
-        let bit = (splitmix(&mut state.rng) as usize) % (frame.len() * 8);
-        frame[bit / 8] ^= 1 << (bit % 8);
-        OBS_CORRUPT.add(1);
-    }
-    WriteFault::Pass
+    STATE
+        .lock()
+        .unwrap()
+        .as_mut()
+        .map_or(WriteFault::Pass, |state| state.on_write(frame))
 }
 
 /// Maybe sleep before a read (an injected slow peer). Call only when
 /// [`active`]; the sleep happens outside the state lock.
 pub fn maybe_stall() {
-    let stall = {
-        let mut guard = STATE.lock().unwrap();
-        match guard.as_mut() {
-            Some(state) => {
-                let p = state.plan.stall_p;
-                hit(state, p).then_some(state.plan.stall)
-            }
-            None => None,
-        }
-    };
+    let stall = STATE.lock().unwrap().as_mut().and_then(FaultState::stall);
     if let Some(dur) = stall {
         OBS_STALL.add(1);
         std::thread::sleep(dur);
@@ -377,22 +397,11 @@ pub enum EvalFault {
 /// [`active`]. The caller performs the crash ([`std::process::exit`]);
 /// this function only counts it.
 pub fn on_eval() -> EvalFault {
-    let mut guard = STATE.lock().unwrap();
-    let Some(state) = guard.as_mut() else {
-        return EvalFault::Pass;
-    };
-    state.eval_requests += 1;
-    if let Some(n) = state.plan.crash_after {
-        if state.eval_requests >= n {
-            OBS_CRASH.add(1);
-            return EvalFault::Crash;
-        }
-    }
-    if hit(state, state.plan.busy) {
-        OBS_BUSY.add(1);
-        return EvalFault::Busy;
-    }
-    EvalFault::Pass
+    STATE
+        .lock()
+        .unwrap()
+        .as_mut()
+        .map_or(EvalFault::Pass, FaultState::on_eval)
 }
 
 #[cfg(test)]
@@ -457,15 +466,13 @@ mod tests {
             ..FaultPlan::default()
         };
         let run = |seed| {
-            install(plan(seed));
-            let decisions: Vec<WriteFault> = (0..64)
+            let mut state = FaultState::new(plan(seed), true);
+            (0..64)
                 .map(|_| {
                     let mut frame = vec![0u8; 32];
-                    on_write(&mut frame)
+                    state.on_write(&mut frame)
                 })
-                .collect();
-            clear();
-            decisions
+                .collect::<Vec<WriteFault>>()
         };
         let a = run(42);
         let b = run(42);
@@ -489,14 +496,16 @@ mod tests {
 
     #[test]
     fn crash_after_counts_eval_requests() {
-        install(FaultPlan {
-            crash_after: Some(3),
-            ..FaultPlan::default()
-        });
-        assert_eq!(on_eval(), EvalFault::Pass);
-        assert_eq!(on_eval(), EvalFault::Pass);
-        assert_eq!(on_eval(), EvalFault::Crash);
-        assert_eq!(on_eval(), EvalFault::Crash, "stays down after N");
-        clear();
+        let mut state = FaultState::new(
+            FaultPlan {
+                crash_after: Some(3),
+                ..FaultPlan::default()
+            },
+            true,
+        );
+        assert_eq!(state.on_eval(), EvalFault::Pass);
+        assert_eq!(state.on_eval(), EvalFault::Pass);
+        assert_eq!(state.on_eval(), EvalFault::Crash);
+        assert_eq!(state.on_eval(), EvalFault::Crash, "stays down after N");
     }
 }

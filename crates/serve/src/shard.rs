@@ -494,23 +494,6 @@ pub fn format_shard_table(metrics: &[Option<MetricsReply>]) -> String {
         if faults > 0 || timeouts > 0 {
             out.push_str(&format!(" faults={faults} timeouts={timeouts}"));
         }
-        // Superblock trace activity, present only when the worker's
-        // engine actually formed traces.
-        let formed = m.counter("sim.trace.formed");
-        if formed > 0 {
-            let entries = m.counter("sim.trace.entries");
-            let side_exits = m.counter("sim.trace.side_exits");
-            let fallbacks = m.counter("sim.trace.fallbacks");
-            #[allow(clippy::cast_precision_loss)]
-            let side_pct = if entries == 0 {
-                0.0
-            } else {
-                100.0 * side_exits as f64 / entries as f64
-            };
-            out.push_str(&format!(
-                " sb-traces={formed} sb-entries={entries} sb-side-exit={side_pct:.1}% sb-fallbacks={fallbacks}"
-            ));
-        }
         out.push('\n');
     }
     out

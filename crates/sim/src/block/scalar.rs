@@ -1,4 +1,4 @@
-//! The block-compiled scalar engine: superops over [`DecodedScalar`]
+//! The block-compiled scalar engine: superops over pre-decoded
 //! instructions.
 //!
 //! See the module docs of [`crate::block`] for the design. The scalar
@@ -18,16 +18,16 @@
 //!   alternate `s1p` trace (translated only when the first instruction's
 //!   pairing bit makes that state reachable with a distinct outcome).
 //! * **Direct architectural state.** Scalar semantics are sequential —
-//!   the decoded engine already writes registers and memory immediately —
+//!   the slow path already writes registers and memory immediately —
 //!   so the fast path needs no deferred-write machinery at all; the
 //!   scoreboard exists only in the static trace and the live-out set.
 
-use super::{ctrl_of, TraceState, MAX_TRACE_BLOCKS, MAX_TRACE_PCS};
+use super::ctrl_of;
 use crate::exec::scalar::DecodedScalar;
 use crate::exec::{ExecKind, Src, LR_HALT};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
-use asip_dbt::blocks::{discover, grow_trace, BlockMap};
+use asip_dbt::blocks::{discover, BlockMap};
 use asip_isa::{ActivityCounts, EvalError, LatClass, MachineDescription, ScalarProgram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -84,71 +84,11 @@ struct Superop {
     nops: u64,
 }
 
-/// Cumulative per-segment exit state of a `SuperTrace` (see the VLIW
-/// engine's `SegCum` for the protocol): cycle fields are chain-global
-/// offsets from the shifted trace base, with earlier internal
-/// taken-branch penalties folded in and the exiting transition's own
-/// dynamic adjustment excluded.
-#[derive(Debug)]
-struct SegCum {
-    /// Cycles from the trace base to this segment's exit.
-    total: u64,
-    /// Interlock stalls folded into `total` so far.
-    stalls: u64,
-    /// Issue groups opened so far.
-    groups: u64,
-    /// Internal taken-branch penalties folded into `total` so far.
-    branch: u64,
-    /// Instructions executed so far.
-    nops: u64,
-    /// Encoded fetch bytes so far.
-    fetch_bytes: u64,
-    /// Per-class op counts so far, indexed by [`LatClass`] order.
-    class: [u64; 7],
-    /// Summed pre-rounded custom-datapath area so far.
-    custom_area: u64,
-    /// This segment's slice of [`SuperTrace::lines`], touched MRU-wise
-    /// on segment entry.
-    lines_lo: u32,
-    lines_hi: u32,
-    /// The profiled control transfer out of this segment; any other
-    /// transfer side-exits. Unused on the last segment.
-    expect_pc: u32,
-    expect_taken: bool,
-    /// Issue-group state on a fall-through exit at this segment.
-    exit_len: u32,
-    exit_seals: bool,
-    /// Writes whose results land after this segment's exit:
-    /// `(flat reg, chain-global ready offset)`.
-    live_out: Vec<(u32, u64)>,
-}
-
-/// A profile-promoted superblock over the scalar pipeline: a chain of
-/// fast blocks statically replayed as one trace from an empty entry
-/// group, with per-segment cumulative state for exact side exits.
-#[derive(Debug)]
-struct SuperTrace {
-    /// Block index of each segment, in chain order.
-    blocks: Vec<u32>,
-    segs: Vec<SegCum>,
-    /// Concatenated per-segment fetch lines (adjacent-deduplicated
-    /// within a segment).
-    lines: Vec<u64>,
-    /// Sorted, deduplicated union of `lines` for the read-only entry
-    /// residency probe.
-    probe: Vec<u64>,
-    /// Whole-trace first-touch offsets (chain-global) for entry
-    /// admission of in-flight writes.
-    touch: Vec<u64>,
-    /// Chain-global upper bound on every top-of-loop cycle-limit check.
-    last_issue: u64,
-}
-
 /// A [`ScalarProgram`] block-compiled against a [`MachineDescription`]:
 /// basic blocks are discovered up front ([`asip_dbt::blocks`]) and
 /// translated to `Superop`s on first visit; [`BlockScalar::run`] is the
-/// threaded-code dispatch loop over them, with the decoded pipeline loop
-/// as the per-instruction slow path.
+/// threaded-code dispatch loop over them, with a cycle-exact
+/// per-instruction slow path.
 #[derive(Debug)]
 pub struct BlockScalar {
     d: DecodedScalar,
@@ -157,9 +97,6 @@ pub struct BlockScalar {
     /// because one block-compiled program is shared across session
     /// worker threads.
     tx: Vec<OnceLock<Superop>>,
-    /// The superblock tier's profile/promotion state; `None` on plain
-    /// block engines (see [`BlockScalar::with_traces`]).
-    traces: Option<TraceState<SuperTrace>>,
     /// Reusable data-memory buffers for [`BlockScalar::run_with_inputs`]:
     /// a prepared engine runs many times, and rebuilding the dmem image
     /// per run would dominate short kernels.
@@ -180,32 +117,8 @@ impl BlockScalar {
         machine: &MachineDescription,
         program: &ScalarProgram,
     ) -> Result<BlockScalar, SimError> {
-        Self::build(machine, program, false)
-    }
-
-    /// Like [`BlockScalar::new`], but with the profile-directed
-    /// superblock tier armed: hot loop heads are chained into
-    /// `SuperTrace`s at run time once they pass
-    /// [`SimOptions::sb_threshold`] dispatches.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub fn with_traces(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-    ) -> Result<BlockScalar, SimError> {
-        Self::build(machine, program, true)
-    }
-
-    fn build(
-        machine: &MachineDescription,
-        program: &ScalarProgram,
-        traces: bool,
-    ) -> Result<BlockScalar, SimError> {
         let mut span = asip_obs::span("engine", "prepare");
-        span.note(if traces { "superblock" } else { "block" });
+        span.note("block");
         let d = DecodedScalar::new(machine, program)?;
         let mut entries: Vec<u32> = d.program.functions.iter().map(|f| f.entry).collect();
         let ctrl: Vec<_> = d
@@ -215,12 +128,10 @@ impl BlockScalar {
             .collect();
         let map = discover(&ctrl, &entries);
         let tx = (0..map.blocks.len()).map(|_| OnceLock::new()).collect();
-        let traces = traces.then(|| TraceState::new(map.blocks.len()));
         Ok(BlockScalar {
             d,
             map,
             tx,
-            traces,
             pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_insts: AtomicU64::new(0),
@@ -232,7 +143,7 @@ impl BlockScalar {
         self.d.program()
     }
 
-    /// The block partition (loop marking included) driving dispatch.
+    /// The block partition driving dispatch.
     pub fn block_map(&self) -> &BlockMap {
         &self.map
     }
@@ -245,34 +156,6 @@ impl BlockScalar {
     /// Instructions executed via the interpretive slow path so far.
     pub fn slow_insts(&self) -> u64 {
         self.slow_insts.load(Ordering::Relaxed)
-    }
-
-    /// Superblock traces formed so far (0 on plain block engines).
-    pub fn traces_formed(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.formed.load(Ordering::Relaxed))
-    }
-
-    /// Superblock trace entries so far (0 on plain block engines).
-    pub fn trace_entries(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.entries.load(Ordering::Relaxed))
-    }
-
-    /// Superblock side exits (internal transfer mispredictions) so far.
-    pub fn trace_side_exits(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.side_exits.load(Ordering::Relaxed))
-    }
-
-    /// Superblock entry-guard failures that fell back to block dispatch.
-    pub fn trace_fallbacks(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.fallbacks.load(Ordering::Relaxed))
     }
 
     /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
@@ -312,7 +195,7 @@ impl BlockScalar {
         res
     }
 
-    /// Statically replay the decoded pipeline's grouping and hazard
+    /// Statically replay the slow path's grouping and hazard
     /// arithmetic over block `bi` from `entry_len` group members (all
     /// fetch lines assumed resident — the entry guard checks that).
     fn trace(&self, bi: usize, entry_len: usize) -> ScalarTrace {
@@ -428,158 +311,11 @@ impl BlockScalar {
         }
     }
 
-    /// Try to chain a superblock trace from hot loop head `head` along
-    /// the profiled dominant-successor edges, composing the chain into
-    /// one trace by replaying the grouping and hazard arithmetic
-    /// chain-globally from an empty entry group (issue-group state and
-    /// the scoreboard both thread across internal transitions). `None`
-    /// when the head is unchainable.
-    #[allow(clippy::too_many_lines)]
-    fn form_trace(&self, head: usize, threshold: u32) -> Option<SuperTrace> {
-        let _span = asip_obs::span("engine", "trace_form");
-        let ts = self.traces.as_ref().expect("trace tier armed");
-        let conf = u64::from((threshold / 8).max(1));
-        let mut edges: Vec<(u32, bool)> = Vec::new();
-        let mut chain = grow_trace(&self.map, head, MAX_TRACE_BLOCKS, MAX_TRACE_PCS, |cur| {
-            let (pc, taken) = ts.dominant(cur, conf)?;
-            edges.push((pc, taken));
-            Some(pc)
-        });
-        let bad = chain.iter().position(|&b| {
-            !self.tx[b as usize]
-                .get_or_init(|| self.translate(b as usize))
-                .fast
-        });
-        if let Some(n) = bad {
-            chain.truncate(n);
-        }
-        if chain.len() < 2 {
-            return None;
-        }
-        edges.truncate(chain.len() - 1);
-
-        let d = &self.d;
-        let width = d.width;
-        let mut sready = vec![0u64; d.nregs];
-        let mut touch = vec![u64::MAX; d.nregs];
-        let mut c = 0u64;
-        let mut len = 0usize;
-        let mut closed = false;
-        let mut stalls = 0u64;
-        let mut groups = 0u64;
-        let mut branch = 0u64;
-        let mut nops = 0u64;
-        let mut fetch_bytes = 0u64;
-        let mut class = [0u64; 7];
-        let mut custom_area = 0u64;
-        let mut last_issue = 0u64;
-        let mut lines: Vec<u64> = Vec::new();
-        let mut segs: Vec<SegCum> = Vec::with_capacity(chain.len());
-        for (k, &b) in chain.iter().enumerate() {
-            let blk = &self.map.blocks[b as usize];
-            let so = self.tx[b as usize].get().expect("translated above");
-            let lines_lo = lines.len() as u32;
-            lines.extend_from_slice(&so.lines);
-            nops += so.nops;
-            fetch_bytes += so.fetch_bytes;
-            for (t, &n) in class.iter_mut().zip(so.class.iter()) {
-                *t += n;
-            }
-            custom_area += so.custom_area;
-            for inst in &d.insts[blk.start() as usize..blk.end() as usize] {
-                last_issue = c;
-                // Structural: `closed` can only be set at a segment
-                // boundary (only control ops seal, and they end blocks).
-                if len >= width || closed || (len == 1 && !inst.pair_with_prev) {
-                    c += 1;
-                    len = 0;
-                    closed = false;
-                }
-                let il = &d.interlock[inst.interlock.0 as usize..inst.interlock.1 as usize];
-                let mut ready = c;
-                for &r in il {
-                    ready = ready.max(sready[r as usize]);
-                }
-                if ready > c {
-                    stalls += ready - c;
-                    c = ready;
-                    len = 0;
-                    closed = false;
-                }
-                for &r in il {
-                    if touch[r as usize] == u64::MAX {
-                        touch[r as usize] = c;
-                    }
-                }
-                len += 1;
-                if len == 1 {
-                    groups += 1;
-                }
-                super::for_each_write(&inst.op, &d.pools, &mut |dst| {
-                    if dst != 0 {
-                        let slot = &mut sready[dst as usize];
-                        *slot = (*slot).max(c + inst.op.lat);
-                    }
-                });
-            }
-            let live_out = sready
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t > c)
-                .map(|(r, &t)| (r as u32, t))
-                .collect();
-            let (expect_pc, expect_taken) = if k < edges.len() {
-                edges[k]
-            } else {
-                (0, false)
-            };
-            segs.push(SegCum {
-                total: c,
-                stalls,
-                groups,
-                branch,
-                nops,
-                fetch_bytes,
-                class,
-                custom_area,
-                lines_lo,
-                lines_hi: lines.len() as u32,
-                expect_pc,
-                expect_taken,
-                exit_len: len as u32,
-                exit_seals: d.insts[blk.end() as usize - 1].seals,
-                live_out,
-            });
-            if k < edges.len() {
-                if edges[k].1 {
-                    branch += d.branch_penalty;
-                    c += 1 + d.branch_penalty;
-                    len = 0;
-                    closed = false;
-                } else {
-                    closed = d.insts[blk.end() as usize - 1].seals;
-                }
-            }
-        }
-
-        let mut probe = lines.clone();
-        probe.sort_unstable();
-        probe.dedup();
-        ts.count_formed();
-        Some(SuperTrace {
-            blocks: chain,
-            segs,
-            lines,
-            probe,
-            touch,
-            last_issue,
-        })
-    }
-
     /// Run the entry function over `memory` (normally a copy of
     /// [`BlockScalar::initial_memory`] with workload inputs written in).
-    /// Observationally identical to [`DecodedScalar::run`] on the same
-    /// inputs — every [`SimResult`] field matches bit-for-bit.
+    /// Observationally identical to
+    /// [`run_scalar_reference`](crate::reference::run_scalar_reference) on
+    /// the same inputs — every [`SimResult`] field matches bit-for-bit.
     ///
     /// # Errors
     ///
@@ -608,11 +344,7 @@ impl BlockScalar {
         dirty_out: &mut usize,
     ) -> Result<SimResult, SimError> {
         let mut span = asip_obs::span("engine", "run");
-        span.note(if self.traces.is_some() {
-            "superblock"
-        } else {
-            "block"
-        });
+        span.note("block");
         let d = &self.d;
         if args.len() != d.num_args as usize {
             return Err(SimError::BadArgs {
@@ -662,9 +394,6 @@ impl BlockScalar {
         let width = d.width;
         let mut fast_blocks = 0u64;
         let mut slow_insts = 0u64;
-        let mut trace_entries = 0u64;
-        let mut trace_side_exits = 0u64;
-        let mut trace_fallbacks = 0u64;
 
         macro_rules! new_group {
             ($advance:expr) => {{
@@ -674,9 +403,8 @@ impl BlockScalar {
             }};
         }
 
-        // Superop fast-path register access, shared by block dispatch
-        // and trace segments: scalar semantics are sequential, so both
-        // reads and writes are direct.
+        // Superop fast-path register access: scalar semantics are
+        // sequential, so both reads and writes are direct.
         macro_rules! frd {
             ($s:expr) => {
                 match *$s {
@@ -693,128 +421,6 @@ impl BlockScalar {
                 }
             }};
         }
-        // One superop-fast-path instruction: the full op match, writing
-        // the control outcome into the caller's `$next_pc`/`$taken`/
-        // `$halted` locals. A macro (not a closure) because it borrows
-        // half the interpreter state and must be able to `return`
-        // simulation errors.
-        macro_rules! exec_inst {
-            ($inst:expr, $ipc:expr, $next_pc:ident, $taken:ident, $halted:ident) => {{
-                let inst = $inst;
-                let ipc: u32 = $ipc;
-                match &inst.op.kind {
-                    ExecKind::Ldw { dst, base, off } => {
-                        let addr = i64::from(frd!(base)) + off;
-                        if addr < 0 || addr as usize >= memory.len() {
-                            return Err(SimError::MemFault { pc: ipc, addr });
-                        }
-                        let v = memory[addr as usize];
-                        fwr!(*dst, v);
-                    }
-                    ExecKind::Stw { val, base, off } => {
-                        let v = frd!(val);
-                        let addr = i64::from(frd!(base)) + off;
-                        if addr < 0 || addr as usize >= memory.len() {
-                            return Err(SimError::MemFault { pc: ipc, addr });
-                        }
-                        let a = addr as usize;
-                        if a >= data_words && a < dirty_lo {
-                            dirty_lo = a;
-                        }
-                        memory[a] = v;
-                    }
-                    ExecKind::Br { target } => {
-                        $next_pc = *target;
-                        $taken = true;
-                    }
-                    ExecKind::BrT { cond, target } => {
-                        if frd!(cond) != 0 {
-                            $next_pc = *target;
-                            $taken = true;
-                        }
-                    }
-                    ExecKind::BrF { cond, target } => {
-                        if frd!(cond) == 0 {
-                            $next_pc = *target;
-                            $taken = true;
-                        }
-                    }
-                    ExecKind::Call { entry } => {
-                        lr = ipc + 1;
-                        $next_pc = *entry;
-                        $taken = true;
-                    }
-                    ExecKind::Ret => {
-                        if lr == LR_HALT {
-                            $halted = true;
-                        } else if lr as usize >= d.insts.len() {
-                            return Err(SimError::WildReturn { pc: ipc });
-                        } else {
-                            $next_pc = lr;
-                            $taken = true;
-                        }
-                    }
-                    ExecKind::Halt => $halted = true,
-                    ExecKind::Emit { src } => {
-                        let v = frd!(src);
-                        out.output.push(v);
-                    }
-                    ExecKind::AddSp { imm } => {
-                        sp = (i64::from(sp) + imm) as u32;
-                    }
-                    ExecKind::MovFromSp { dst } => fwr!(*dst, sp as i32),
-                    ExecKind::MovFromLr { dst } => fwr!(*dst, lr as i32),
-                    ExecKind::MovToLr { src } => lr = frd!(src) as u32,
-                    ExecKind::Mov { dst, src } => {
-                        let v = frd!(src);
-                        fwr!(*dst, v);
-                    }
-                    ExecKind::Select { dst, c, a, b } => {
-                        let c = frd!(c);
-                        let a = frd!(a);
-                        let b = frd!(b);
-                        fwr!(*dst, if c != 0 { a } else { b });
-                    }
-                    ExecKind::Custom { id, srcs, dsts } => {
-                        argv.clear();
-                        for s in &d.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
-                            argv.push(frd!(s));
-                        }
-                        let def = &d.program.custom_ops[*id as usize];
-                        def.eval_into(&argv, &mut cvals, &mut couts)
-                            .map_err(|e| match e {
-                                asip_isa::CustomOpError::Eval(_) => {
-                                    SimError::DivideByZero { pc: ipc }
-                                }
-                                other => SimError::InvalidProgram(other.to_string()),
-                            })?;
-                        for (&dst, &v) in d.pools.dsts[dsts.0 as usize..dsts.1 as usize]
-                            .iter()
-                            .zip(couts.iter())
-                        {
-                            fwr!(dst, v);
-                        }
-                    }
-                    ExecKind::Nop => {}
-                    ExecKind::Un { op, dst, a } => {
-                        let v = op.eval1(frd!(a)).expect("unary arith");
-                        fwr!(*dst, v);
-                    }
-                    ExecKind::Bin { op, dst, a, b } => {
-                        let x = frd!(a);
-                        let y = frd!(b);
-                        let v = op.eval2(x, y).map_err(|e| match e {
-                            EvalError::DivideByZero => SimError::DivideByZero { pc: ipc },
-                            EvalError::NotArithmetic => {
-                                SimError::InvalidProgram(format!("opcode {op} is not executable"))
-                            }
-                        })?;
-                        fwr!(*dst, v);
-                    }
-                }
-            }};
-        }
-
         'run: loop {
             let bi = self.map.block_of[pc as usize] as usize;
             let blk = &self.map.blocks[bi];
@@ -829,148 +435,6 @@ impl BlockScalar {
                 let so = self.tx[bi].get_or_init(|| self.translate(bi));
                 if !so.fast {
                     break 'fast;
-                }
-                // ---- Trace tier: superblock dispatch at a hot loop head. ----
-                if let Some(ts) = &self.traces {
-                    if blk.in_loop {
-                        'trace: {
-                            // Entry group state → base shift, as for the
-                            // block traces below; a half-open pairable
-                            // group is left to the block tier's
-                            // specialized `s1p` trace.
-                            let shift = if group_closed || group_len >= width {
-                                1u64
-                            } else if group_len == 0 {
-                                0u64
-                            } else {
-                                break 'trace;
-                            };
-                            let tr = match ts.tx[bi].get() {
-                                Some(Some(t)) => t,
-                                // Judged unchainable: plain block dispatch,
-                                // and no more heat bookkeeping.
-                                Some(None) => break 'trace,
-                                None => {
-                                    let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
-                                    if heat < opts.sb_threshold {
-                                        break 'trace;
-                                    }
-                                    match ts.tx[bi]
-                                        .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
-                                    {
-                                        Some(t) => t,
-                                        None => break 'trace,
-                                    }
-                                }
-                            };
-                            let base = cycle + shift;
-                            // Trace guard 1: first-touch admission over the
-                            // whole chain (see the block guard 1b below).
-                            // Admitted writes stay on the scoreboard: their
-                            // values are already architectural, and a side
-                            // exit before the touch point must leave their
-                            // future ready times observable.
-                            if !carry.is_empty()
-                                && !crate::exec::admit_ok(&carry, &reg_ready, &tr.touch, base)
-                            {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 2: every top-of-loop cycle-limit
-                            // check in the chain must be unreachable.
-                            if base + tr.last_issue > opts.max_cycles {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 3: the chain's whole fetch-line
-                            // union resident (read-only probe; hits never
-                            // evict, so residency holds at every segment).
-                            if let Some(ic) = icache.as_mut() {
-                                if !tr.probe.iter().all(|&l| ic.probe(l)) {
-                                    trace_fallbacks += 1;
-                                    break 'trace;
-                                }
-                            }
-                            trace_entries += 1;
-                            let mut seg_idx = 0usize;
-                            let mut next_pc;
-                            let mut taken;
-                            let mut halted;
-                            loop {
-                                let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
-                                let seg = &tr.segs[seg_idx];
-                                if let Some(ic) = icache.as_mut() {
-                                    for &l in
-                                        &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize]
-                                    {
-                                        ic.access_lines(l, l);
-                                    }
-                                }
-                                next_pc = sblk.end();
-                                taken = false;
-                                halted = false;
-                                for (i, inst) in d.insts[sblk.start() as usize..sblk.end() as usize]
-                                    .iter()
-                                    .enumerate()
-                                {
-                                    exec_inst!(
-                                        inst,
-                                        sblk.start() + i as u32,
-                                        next_pc,
-                                        taken,
-                                        halted
-                                    );
-                                }
-                                if halted || seg_idx + 1 == tr.segs.len() {
-                                    break;
-                                }
-                                if next_pc != seg.expect_pc || taken != seg.expect_taken {
-                                    trace_side_exits += 1;
-                                    break;
-                                }
-                                seg_idx += 1;
-                            }
-                            // Trace exit after `seg_idx`: cumulative
-                            // aggregates make any exit depth O(1).
-                            let seg = &tr.segs[seg_idx];
-                            out.bundles_executed += seg.groups;
-                            out.activity.bundles += seg.groups;
-                            out.ops_executed += seg.nops;
-                            for (t, &n) in class_counts.iter_mut().zip(seg.class.iter()) {
-                                *t += n;
-                            }
-                            out.activity.custom_area_executed += seg.custom_area;
-                            out.activity.fetch_bytes += seg.fetch_bytes;
-                            out.interlock_stalls += seg.stalls;
-                            out.branch_stalls += seg.branch;
-                            cycle = base + seg.total;
-                            fast_blocks += seg_idx as u64 + 1;
-                            if halted {
-                                cycle += 1;
-                                break 'run;
-                            }
-                            if taken {
-                                out.branch_stalls += d.branch_penalty;
-                                new_group!(1 + d.branch_penalty);
-                            } else {
-                                group_len = seg.exit_len as usize;
-                                group_closed = seg.exit_seals;
-                            }
-                            // Re-arm writes still landing after the exit.
-                            for &(r, t) in &seg.live_out {
-                                let t = base + t;
-                                if t > cycle {
-                                    reg_ready[r as usize] = t;
-                                    carry.push(r);
-                                }
-                            }
-                            pc = next_pc;
-                            if pc as usize >= d.insts.len() {
-                                return Err(SimError::WildReturn { pc });
-                            }
-                            continue 'run;
-                        }
-                    }
                 }
                 // Entry group state → (trace, base-cycle shift). A full
                 // or sealed group forces a structural break before the
@@ -1027,14 +491,116 @@ impl BlockScalar {
                     .iter()
                     .enumerate()
                 {
-                    exec_inst!(inst, blk.start() + i as u32, next_pc, taken, halted);
-                }
-
-                // Feed the trace tier's successor profile: loop blocks
-                // only, and a halt has no successor edge.
-                if !halted && blk.in_loop {
-                    if let Some(ts) = &self.traces {
-                        ts.record_succ(bi, next_pc, taken);
+                    let ipc = blk.start() + i as u32;
+                    match &inst.op.kind {
+                        ExecKind::Ldw { dst, base, off } => {
+                            let addr = i64::from(frd!(base)) + off;
+                            if addr < 0 || addr as usize >= memory.len() {
+                                return Err(SimError::MemFault { pc: ipc, addr });
+                            }
+                            let v = memory[addr as usize];
+                            fwr!(*dst, v);
+                        }
+                        ExecKind::Stw { val, base, off } => {
+                            let v = frd!(val);
+                            let addr = i64::from(frd!(base)) + off;
+                            if addr < 0 || addr as usize >= memory.len() {
+                                return Err(SimError::MemFault { pc: ipc, addr });
+                            }
+                            let a = addr as usize;
+                            if a >= data_words && a < dirty_lo {
+                                dirty_lo = a;
+                            }
+                            memory[a] = v;
+                        }
+                        ExecKind::Br { target } => {
+                            next_pc = *target;
+                            taken = true;
+                        }
+                        ExecKind::BrT { cond, target } => {
+                            if frd!(cond) != 0 {
+                                next_pc = *target;
+                                taken = true;
+                            }
+                        }
+                        ExecKind::BrF { cond, target } => {
+                            if frd!(cond) == 0 {
+                                next_pc = *target;
+                                taken = true;
+                            }
+                        }
+                        ExecKind::Call { entry } => {
+                            lr = ipc + 1;
+                            next_pc = *entry;
+                            taken = true;
+                        }
+                        ExecKind::Ret => {
+                            if lr == LR_HALT {
+                                halted = true;
+                            } else if lr as usize >= d.insts.len() {
+                                return Err(SimError::WildReturn { pc: ipc });
+                            } else {
+                                next_pc = lr;
+                                taken = true;
+                            }
+                        }
+                        ExecKind::Halt => halted = true,
+                        ExecKind::Emit { src } => {
+                            let v = frd!(src);
+                            out.output.push(v);
+                        }
+                        ExecKind::AddSp { imm } => {
+                            sp = (i64::from(sp) + imm) as u32;
+                        }
+                        ExecKind::MovFromSp { dst } => fwr!(*dst, sp as i32),
+                        ExecKind::MovFromLr { dst } => fwr!(*dst, lr as i32),
+                        ExecKind::MovToLr { src } => lr = frd!(src) as u32,
+                        ExecKind::Mov { dst, src } => {
+                            let v = frd!(src);
+                            fwr!(*dst, v);
+                        }
+                        ExecKind::Select { dst, c, a, b } => {
+                            let c = frd!(c);
+                            let a = frd!(a);
+                            let b = frd!(b);
+                            fwr!(*dst, if c != 0 { a } else { b });
+                        }
+                        ExecKind::Custom { id, srcs, dsts } => {
+                            argv.clear();
+                            for s in &d.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
+                                argv.push(frd!(s));
+                            }
+                            let def = &d.program.custom_ops[*id as usize];
+                            def.eval_into(&argv, &mut cvals, &mut couts)
+                                .map_err(|e| match e {
+                                    asip_isa::CustomOpError::Eval(_) => {
+                                        SimError::DivideByZero { pc: ipc }
+                                    }
+                                    other => SimError::InvalidProgram(other.to_string()),
+                                })?;
+                            for (&dst, &v) in d.pools.dsts[dsts.0 as usize..dsts.1 as usize]
+                                .iter()
+                                .zip(couts.iter())
+                            {
+                                fwr!(dst, v);
+                            }
+                        }
+                        ExecKind::Nop => {}
+                        ExecKind::Un { op, dst, a } => {
+                            let v = op.eval1(frd!(a)).expect("unary arith");
+                            fwr!(*dst, v);
+                        }
+                        ExecKind::Bin { op, dst, a, b } => {
+                            let x = frd!(a);
+                            let y = frd!(b);
+                            let v = op.eval2(x, y).map_err(|e| match e {
+                                EvalError::DivideByZero => SimError::DivideByZero { pc: ipc },
+                                EvalError::NotArithmetic => SimError::InvalidProgram(format!(
+                                    "opcode {op} is not executable"
+                                )),
+                            })?;
+                            fwr!(*dst, v);
+                        }
                     }
                 }
 
@@ -1077,7 +643,7 @@ impl BlockScalar {
                 continue 'run;
             }
 
-            // ---- Slow path: one instruction of the decoded loop. ----
+            // ---- Slow path: one instruction of the pipeline loop. ----
             if cycle > opts.max_cycles {
                 return Err(SimError::CycleLimit);
             }
@@ -1278,9 +844,6 @@ impl BlockScalar {
 
         self.fast_blocks.fetch_add(fast_blocks, Ordering::Relaxed);
         self.slow_insts.fetch_add(slow_insts, Ordering::Relaxed);
-        if let Some(ts) = &self.traces {
-            ts.count_run(trace_entries, trace_side_exits, trace_fallbacks);
-        }
         out.cycles = cycle;
         out.activity.cycles = cycle;
         out.activity.alu_ops += class_counts[LatClass::Alu as usize];

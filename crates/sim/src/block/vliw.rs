@@ -1,15 +1,15 @@
-//! The block-compiled VLIW engine: superops over [`DecodedVliw`] bundles.
+//! The block-compiled VLIW engine: superops over pre-decoded bundles.
 //!
 //! See the module docs of [`crate::block`] for the design. The VLIW
 //! specifics:
 //!
 //! * **Folded stalls.** Within a block, the whole-machine interlock is a
-//!   pure function of the schedule: the static trace replays the decoded
-//!   engine's scoreboard arithmetic (stall to the latest in-flight
+//!   pure function of the schedule: the static trace replays the slow
+//!   path's scoreboard arithmetic (stall to the latest in-flight
 //!   ready time, commit, write `issue + latency`) at translation time,
 //!   so the fast path adds one precomputed stall total instead of probing
 //!   the scoreboard per bundle.
-//! * **Direct register writes.** The decoded engine buffers results in a
+//! * **Direct register writes.** The slow path buffers results in a
 //!   pending scoreboard to model VLIW read-before-write; but every read
 //!   is interlocked, so once the entry guard proves no write is in flight
 //!   the only observable reorderings are *within* one bundle. Bundles
@@ -23,19 +23,18 @@
 //!   path if any are genuinely outstanding.
 
 use super::{ctrl_of, for_each_read, for_each_write};
-use super::{TraceState, MAX_TRACE_BLOCKS, MAX_TRACE_PCS};
 use crate::exec::vliw::DecodedVliw;
 use crate::exec::{ActivityDelta, ExecKind, Src, LR_HALT};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
-use asip_dbt::blocks::{discover, grow_trace, BlockMap};
+use asip_dbt::blocks::{discover, BlockMap};
 use asip_isa::{ActivityCounts, EvalError, MachineDescription, VliwProgram};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Residual per-bundle execution flags: the shapes where same-bundle
-/// ordering is observable and the fast path must buffer like the decoded
-/// engine instead of writing through.
+/// ordering is observable and the fast path must buffer like the slow
+/// path instead of writing through.
 #[derive(Debug, Clone, Copy, Default)]
 struct BundleFlags {
     /// The bundle reads a register it also writes: keep VLIW
@@ -83,76 +82,11 @@ struct Superop {
     touch: Vec<u64>,
 }
 
-/// Cumulative per-segment exit state of a `SuperTrace`: everything
-/// needed to leave the trace after segment `k` — normally via the last
-/// segment, or early via a side exit — in O(1). All cycle fields are
-/// chain-global offsets from trace entry, with the taken-branch
-/// penalties of *earlier* internal transitions folded in and the exiting
-/// transition's own (dynamic) penalty excluded, exactly mirroring
-/// block-by-block execution.
-#[derive(Debug)]
-struct SegCum {
-    /// Cycles from trace entry to this segment's exit.
-    total: u64,
-    /// Interlock stalls folded into `total` so far.
-    stalls: u64,
-    /// Internal taken-branch penalties folded into `total` so far.
-    branch: u64,
-    /// Bundles executed so far.
-    nbundles: u64,
-    /// Idle issue slots so far.
-    idle_slots: u64,
-    /// Encoded fetch bytes so far.
-    fetch_bytes: u64,
-    /// Activity deltas so far (op counts included).
-    act: ActivityDelta,
-    /// This segment's slice of [`SuperTrace::lines`], touched MRU-wise
-    /// on segment entry (replicating the block tier's access order).
-    lines_lo: u32,
-    lines_hi: u32,
-    /// This segment's slice of [`SuperTrace::flags`].
-    flags_lo: u32,
-    /// The profiled control transfer out of this segment; executing any
-    /// other transfer side-exits the trace. Unused on the last segment.
-    expect_pc: u32,
-    expect_taken: bool,
-    /// Scoreboard entries still in flight at this segment's exit:
-    /// `(flat reg, chain-global ready offset)`. The runtime re-arms the
-    /// ones still in the future at the actual exit cycle.
-    live_out: Vec<(u32, u64)>,
-}
-
-/// A profile-promoted superblock: a chain of fast blocks compiled into
-/// one superop specialized for the dominant path, with per-segment
-/// cumulative state so side exits fall back into block dispatch exactly.
-#[derive(Debug)]
-struct SuperTrace {
-    /// Block index of each segment, in chain order (the head may recur:
-    /// a short loop unrolls through itself up to the caps).
-    blocks: Vec<u32>,
-    segs: Vec<SegCum>,
-    /// Concatenated per-segment fetch lines (adjacent-deduplicated
-    /// within a segment, as in the per-block superops).
-    lines: Vec<u64>,
-    /// Sorted, deduplicated union of `lines` for the read-only entry
-    /// residency probe. Hits never evict, so residency of the whole
-    /// union at entry implies residency at every segment.
-    probe: Vec<u64>,
-    /// Concatenated per-segment bundle flags.
-    flags: Vec<BundleFlags>,
-    /// Whole-trace first-touch offsets (chain-global) for entry
-    /// admission of in-flight writes, as in [`Superop::touch`].
-    touch: Vec<u64>,
-    /// Chain-global offset of the last bundle's top-of-loop cycle-limit
-    /// check — an upper bound over every check in the chain.
-    last_issue: u64,
-}
-
 /// A [`VliwProgram`] block-compiled against a [`MachineDescription`]:
 /// basic blocks are discovered up front ([`asip_dbt::blocks`]) and
 /// translated to `Superop`s on first visit; [`BlockVliw::run`] is the
-/// threaded-code dispatch loop over them, with the decoded cycle loop as
-/// the per-bundle slow path.
+/// threaded-code dispatch loop over them, with a cycle-exact per-bundle
+/// slow path.
 #[derive(Debug)]
 pub struct BlockVliw {
     d: DecodedVliw,
@@ -161,9 +95,6 @@ pub struct BlockVliw {
     /// block's entry pc through `map.block_of`). `OnceLock` because one
     /// block-compiled program is shared across session worker threads.
     tx: Vec<OnceLock<Superop>>,
-    /// The superblock tier's profile/promotion state; `None` on plain
-    /// block engines (see [`BlockVliw::with_traces`]).
-    traces: Option<TraceState<SuperTrace>>,
     /// Reusable data-memory buffers for [`BlockVliw::run_with_inputs`]:
     /// a prepared engine runs many times, and rebuilding the dmem image
     /// per run would dominate short kernels.
@@ -181,31 +112,8 @@ impl BlockVliw {
     /// [`SimError::InvalidProgram`] if the program fails static validation
     /// against the machine.
     pub fn new(machine: &MachineDescription, program: &VliwProgram) -> Result<BlockVliw, SimError> {
-        Self::build(machine, program, false)
-    }
-
-    /// Like [`BlockVliw::new`], but with the profile-directed superblock
-    /// tier armed: hot loop heads are chained into `SuperTrace`s at run
-    /// time once they pass [`SimOptions::sb_threshold`] dispatches.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidProgram`] if the program fails static validation
-    /// against the machine.
-    pub fn with_traces(
-        machine: &MachineDescription,
-        program: &VliwProgram,
-    ) -> Result<BlockVliw, SimError> {
-        Self::build(machine, program, true)
-    }
-
-    fn build(
-        machine: &MachineDescription,
-        program: &VliwProgram,
-        traces: bool,
-    ) -> Result<BlockVliw, SimError> {
         let mut span = asip_obs::span("engine", "prepare");
-        span.note(if traces { "superblock" } else { "block" });
+        span.note("block");
         let d = DecodedVliw::new(machine, program)?;
         let mut entries: Vec<u32> = d.program.functions.iter().map(|f| f.entry).collect();
         let ctrl: Vec<_> = d
@@ -215,12 +123,10 @@ impl BlockVliw {
             .collect();
         let map = discover(&ctrl, &entries);
         let tx = (0..map.blocks.len()).map(|_| OnceLock::new()).collect();
-        let traces = traces.then(|| TraceState::new(map.blocks.len()));
         Ok(BlockVliw {
             d,
             map,
             tx,
-            traces,
             pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_bundles: AtomicU64::new(0),
@@ -232,7 +138,7 @@ impl BlockVliw {
         self.d.program()
     }
 
-    /// The block partition (loop marking included) driving dispatch.
+    /// The block partition driving dispatch.
     pub fn block_map(&self) -> &BlockMap {
         &self.map
     }
@@ -245,34 +151,6 @@ impl BlockVliw {
     /// Bundles executed via the interpretive slow path so far.
     pub fn slow_bundles(&self) -> u64 {
         self.slow_bundles.load(Ordering::Relaxed)
-    }
-
-    /// Superblock traces formed so far (0 on plain block engines).
-    pub fn traces_formed(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.formed.load(Ordering::Relaxed))
-    }
-
-    /// Superblock trace entries so far (0 on plain block engines).
-    pub fn trace_entries(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.entries.load(Ordering::Relaxed))
-    }
-
-    /// Superblock side exits (internal transfer mispredictions) so far.
-    pub fn trace_side_exits(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.side_exits.load(Ordering::Relaxed))
-    }
-
-    /// Superblock entry-guard failures that fell back to block dispatch.
-    pub fn trace_fallbacks(&self) -> u64 {
-        self.traces
-            .as_ref()
-            .map_or(0, |t| t.fallbacks.load(Ordering::Relaxed))
     }
 
     /// A fresh data-memory image: zeroed to the machine's `dmem_words`,
@@ -315,7 +193,7 @@ impl BlockVliw {
     }
 
     /// Translate block `bi` into a superop by statically replaying the
-    /// decoded engine's per-bundle cost arithmetic from a clean entry.
+    /// slow path's per-bundle cost arithmetic from a clean entry.
     fn translate(&self, bi: usize) -> Superop {
         let d = &self.d;
         let blk = &self.map.blocks[bi];
@@ -353,7 +231,7 @@ impl BlockVliw {
             }
             fetch_bytes += u64::from(meta.fetch.bytes);
 
-            // The decoded interlock, statically: stall to the latest
+            // The slow-path interlock, statically: stall to the latest
             // in-flight ready time over the touched set, commit, then
             // post the bundle's own writes at `issue + latency`.
             let il = &d.interlock[meta.interlock.0 as usize..meta.interlock.1 as usize];
@@ -419,139 +297,11 @@ impl BlockVliw {
         }
     }
 
-    /// Try to chain a superblock trace from hot loop head `head`: walk
-    /// the profiled dominant-successor edges ([`grow_trace`]), then
-    /// compose the chain into one superop by replaying the scoreboard
-    /// arithmetic chain-globally. `None` when the head is unchainable
-    /// (under two fast segments, or no confident successor).
-    fn form_trace(&self, head: usize, threshold: u32) -> Option<SuperTrace> {
-        let _span = asip_obs::span("engine", "trace_form");
-        let ts = self.traces.as_ref().expect("trace tier armed");
-        let conf = u64::from((threshold / 8).max(1));
-        let mut edges: Vec<(u32, bool)> = Vec::new();
-        let mut chain = grow_trace(&self.map, head, MAX_TRACE_BLOCKS, MAX_TRACE_PCS, |cur| {
-            let (pc, taken) = ts.dominant(cur, conf)?;
-            edges.push((pc, taken));
-            Some(pc)
-        });
-        // Every segment must be fast-path-eligible; truncate at the
-        // first one the translator refused.
-        let bad = chain.iter().position(|&b| {
-            !self.tx[b as usize]
-                .get_or_init(|| self.translate(b as usize))
-                .fast
-        });
-        if let Some(n) = bad {
-            chain.truncate(n);
-        }
-        if chain.len() < 2 {
-            return None;
-        }
-        edges.truncate(chain.len() - 1);
-
-        // Replay the interlock arithmetic across the whole chain: the
-        // per-block stall totals don't compose, because a stall depends
-        // on scoreboard state carried in from earlier segments.
-        let d = &self.d;
-        let mut sready = vec![0u64; d.nregs];
-        let mut touch = vec![u64::MAX; d.nregs];
-        let mut off = 0u64;
-        let mut stalls = 0u64;
-        let mut branch = 0u64;
-        let mut nbundles = 0u64;
-        let mut idle_slots = 0u64;
-        let mut fetch_bytes = 0u64;
-        let mut act = ActivityDelta::default();
-        let mut last_issue = 0u64;
-        let mut lines: Vec<u64> = Vec::new();
-        let mut flags: Vec<BundleFlags> = Vec::new();
-        let mut segs: Vec<SegCum> = Vec::with_capacity(chain.len());
-        for (k, &b) in chain.iter().enumerate() {
-            let blk = &self.map.blocks[b as usize];
-            let so = self.tx[b as usize].get().expect("translated above");
-            let lines_lo = lines.len() as u32;
-            lines.extend_from_slice(&so.lines);
-            let flags_lo = flags.len() as u32;
-            flags.extend_from_slice(&so.flags);
-            nbundles += so.nbundles;
-            idle_slots += so.idle_slots;
-            fetch_bytes += so.fetch_bytes;
-            act.merge(&so.act);
-            for meta in &d.bundles[blk.start() as usize..blk.end() as usize] {
-                last_issue = off;
-                let il = &d.interlock[meta.interlock.0 as usize..meta.interlock.1 as usize];
-                let mut ready_at = off;
-                for &r in il {
-                    ready_at = ready_at.max(sready[r as usize]);
-                }
-                stalls += ready_at - off;
-                off = ready_at;
-                for &r in il {
-                    sready[r as usize] = 0;
-                    if touch[r as usize] == u64::MAX {
-                        touch[r as usize] = off;
-                    }
-                }
-                for op in &d.ops[meta.ops.0 as usize..meta.ops.1 as usize] {
-                    for_each_write(op, &d.pools, &mut |dst| {
-                        if dst != 0 {
-                            sready[dst as usize] = off + op.lat;
-                        }
-                    });
-                }
-                off += 1;
-            }
-            let live_out = sready
-                .iter()
-                .enumerate()
-                .filter(|&(_, &t)| t != 0)
-                .map(|(r, &t)| (r as u32, t))
-                .collect();
-            let (expect_pc, expect_taken) = if k < edges.len() {
-                edges[k]
-            } else {
-                (0, false)
-            };
-            segs.push(SegCum {
-                total: off,
-                stalls,
-                branch,
-                nbundles,
-                idle_slots,
-                fetch_bytes,
-                act,
-                lines_lo,
-                lines_hi: lines.len() as u32,
-                flags_lo,
-                expect_pc,
-                expect_taken,
-                live_out,
-            });
-            if k < edges.len() && edges[k].1 {
-                off += d.branch_penalty;
-                branch += d.branch_penalty;
-            }
-        }
-
-        let mut probe = lines.clone();
-        probe.sort_unstable();
-        probe.dedup();
-        ts.count_formed();
-        Some(SuperTrace {
-            blocks: chain,
-            segs,
-            lines,
-            probe,
-            flags,
-            touch,
-            last_issue,
-        })
-    }
-
     /// Run the entry function over `memory` (normally a copy of
     /// [`BlockVliw::initial_memory`] with workload inputs written in).
-    /// Observationally identical to [`DecodedVliw::run`] on the same
-    /// inputs — every [`SimResult`] field matches bit-for-bit.
+    /// Observationally identical to
+    /// [`run_vliw_reference`](crate::reference::run_vliw_reference) on the
+    /// same inputs — every [`SimResult`] field matches bit-for-bit.
     ///
     /// # Errors
     ///
@@ -579,11 +329,7 @@ impl BlockVliw {
         dirty_out: &mut usize,
     ) -> Result<SimResult, SimError> {
         let mut span = asip_obs::span("engine", "run");
-        span.note(if self.traces.is_some() {
-            "superblock"
-        } else {
-            "block"
-        });
+        span.note("block");
         let d = &self.d;
         if args.len() != d.num_args as usize {
             return Err(SimError::BadArgs {
@@ -626,20 +372,14 @@ impl BlockVliw {
         let mut argv: Vec<i32> = Vec::new();
         let mut cvals: Vec<i32> = Vec::new();
         let mut couts: Vec<i32> = Vec::new();
-        // In-flight registers the trace tier admitted at entry (see the
-        // admitted-register protocol at the trace exit).
-        let mut admitted: Vec<u32> = Vec::new();
 
         let mut cycle: u64 = 0;
         let mut pc: u32 = d.entry_pc;
         let mut fast_blocks = 0u64;
         let mut slow_bundles = 0u64;
-        let mut trace_entries = 0u64;
-        let mut trace_side_exits = 0u64;
-        let mut trace_fallbacks = 0u64;
 
-        // Superop fast-path register access, shared by block dispatch
-        // and trace segments. Reads are always architectural; writes go
+        // Superop fast-path register access. Reads are always
+        // architectural; writes go
         // through the register file directly unless the bundle's flags
         // demand end-of-bundle buffering.
         macro_rules! frd {
@@ -662,151 +402,6 @@ impl BlockVliw {
                 }
             }};
         }
-        // One superop-fast-path bundle: the full op match plus the
-        // deferred flushes, writing the control outcome into the caller's
-        // `$next_pc`/`$taken`/`$halted` locals. A macro (not a closure)
-        // because it borrows half the interpreter state and must be able
-        // to `return` simulation errors.
-        macro_rules! exec_bundle {
-            ($meta:expr, $bpc:expr, $fl:expr, $next_pc:ident, $taken:ident, $halted:ident) => {{
-                let meta = $meta;
-                let bpc: u32 = $bpc;
-                let fl = $fl;
-                let mut sp_next = sp;
-                let mut lr_next = lr;
-                stores.clear();
-                wbuf.clear();
-                for op in &d.ops[meta.ops.0 as usize..meta.ops.1 as usize] {
-                    match &op.kind {
-                        ExecKind::Ldw { dst, base, off } => {
-                            let addr = i64::from(frd!(base)) + off;
-                            if addr < 0 || addr as usize >= memory.len() {
-                                return Err(SimError::MemFault { pc: bpc, addr });
-                            }
-                            let v = memory[addr as usize];
-                            fwr!(fl, *dst, v);
-                        }
-                        ExecKind::Stw { val, base, off } => {
-                            let v = frd!(val);
-                            let addr = i64::from(frd!(base)) + off;
-                            if addr < 0 || addr as usize >= memory.len() {
-                                return Err(SimError::MemFault { pc: bpc, addr });
-                            }
-                            if fl.defer_stores {
-                                stores.push((addr, v));
-                            } else {
-                                let a = addr as usize;
-                                if a >= data_words && a < dirty_lo {
-                                    dirty_lo = a;
-                                }
-                                memory[a] = v;
-                            }
-                        }
-                        ExecKind::Br { target } => {
-                            $next_pc = *target;
-                            $taken = true;
-                        }
-                        ExecKind::BrT { cond, target } => {
-                            if frd!(cond) != 0 {
-                                $next_pc = *target;
-                                $taken = true;
-                            }
-                        }
-                        ExecKind::BrF { cond, target } => {
-                            if frd!(cond) == 0 {
-                                $next_pc = *target;
-                                $taken = true;
-                            }
-                        }
-                        ExecKind::Call { entry } => {
-                            lr_next = bpc + 1;
-                            $next_pc = *entry;
-                            $taken = true;
-                        }
-                        ExecKind::Ret => {
-                            if lr == LR_HALT {
-                                $halted = true;
-                            } else if lr as usize >= d.bundles.len() {
-                                return Err(SimError::WildReturn { pc: bpc });
-                            } else {
-                                $next_pc = lr;
-                                $taken = true;
-                            }
-                        }
-                        ExecKind::Halt => $halted = true,
-                        ExecKind::Emit { src } => {
-                            let v = frd!(src);
-                            out.output.push(v);
-                        }
-                        ExecKind::AddSp { imm } => {
-                            sp_next = (i64::from(sp) + imm) as u32;
-                        }
-                        ExecKind::MovFromSp { dst } => fwr!(fl, *dst, sp as i32),
-                        ExecKind::MovFromLr { dst } => fwr!(fl, *dst, lr as i32),
-                        ExecKind::MovToLr { src } => lr_next = frd!(src) as u32,
-                        ExecKind::Mov { dst, src } => {
-                            let v = frd!(src);
-                            fwr!(fl, *dst, v);
-                        }
-                        ExecKind::Select { dst, c, a, b } => {
-                            let c = frd!(c);
-                            let a = frd!(a);
-                            let b = frd!(b);
-                            fwr!(fl, *dst, if c != 0 { a } else { b });
-                        }
-                        ExecKind::Custom { id, srcs, dsts } => {
-                            argv.clear();
-                            for s in &d.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
-                                argv.push(frd!(s));
-                            }
-                            let def = &d.program.custom_ops[*id as usize];
-                            def.eval_into(&argv, &mut cvals, &mut couts)
-                                .map_err(|e| match e {
-                                    asip_isa::CustomOpError::Eval(_) => {
-                                        SimError::DivideByZero { pc: bpc }
-                                    }
-                                    other => SimError::InvalidProgram(other.to_string()),
-                                })?;
-                            for (&dst, &v) in d.pools.dsts[dsts.0 as usize..dsts.1 as usize]
-                                .iter()
-                                .zip(couts.iter())
-                            {
-                                fwr!(fl, dst, v);
-                            }
-                        }
-                        ExecKind::Nop => {}
-                        ExecKind::Un { op, dst, a } => {
-                            let v = op.eval1(frd!(a)).expect("unary arith");
-                            fwr!(fl, *dst, v);
-                        }
-                        ExecKind::Bin { op, dst, a, b } => {
-                            let x = frd!(a);
-                            let y = frd!(b);
-                            let v = op.eval2(x, y).map_err(|e| match e {
-                                EvalError::DivideByZero => SimError::DivideByZero { pc: bpc },
-                                EvalError::NotArithmetic => SimError::InvalidProgram(format!(
-                                    "opcode {op} is not executable"
-                                )),
-                            })?;
-                            fwr!(fl, *dst, v);
-                        }
-                    }
-                }
-                for &(dst, v) in &wbuf {
-                    regs[dst as usize] = v;
-                }
-                for &(addr, v) in &stores {
-                    let a = addr as usize;
-                    if a >= data_words && a < dirty_lo {
-                        dirty_lo = a;
-                    }
-                    memory[a] = v;
-                }
-                sp = sp_next;
-                lr = lr_next;
-            }};
-        }
-
         'run: loop {
             let bi = self.map.block_of[pc as usize] as usize;
             let blk = &self.map.blocks[bi];
@@ -829,157 +424,6 @@ impl BlockVliw {
                 let so = self.tx[bi].get_or_init(|| self.translate(bi));
                 if !so.fast {
                     break 'fast;
-                }
-                // ---- Trace tier: superblock dispatch at a hot loop head. ----
-                if let Some(ts) = &self.traces {
-                    if blk.in_loop {
-                        'trace: {
-                            let tr = match ts.tx[bi].get() {
-                                Some(Some(t)) => t,
-                                // Judged unchainable: plain block dispatch,
-                                // and no more heat bookkeeping.
-                                Some(None) => break 'trace,
-                                None => {
-                                    let heat = ts.heat[bi].fetch_add(1, Ordering::Relaxed) + 1;
-                                    if heat < opts.sb_threshold {
-                                        break 'trace;
-                                    }
-                                    match ts.tx[bi]
-                                        .get_or_init(|| self.form_trace(bi, opts.sb_threshold))
-                                    {
-                                        Some(t) => t,
-                                        None => break 'trace,
-                                    }
-                                }
-                            };
-                            // Trace guard 1: first-touch admission over the
-                            // whole chain (see the block guard 1b below).
-                            if !inflight.is_empty()
-                                && !crate::exec::admit_ok(&inflight, &ready, &tr.touch, cycle)
-                            {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 2: every top-of-bundle cycle-limit
-                            // check in the chain must be unreachable.
-                            if cycle + tr.last_issue > opts.max_cycles {
-                                trace_fallbacks += 1;
-                                break 'trace;
-                            }
-                            // Trace guard 3: the chain's whole fetch-line
-                            // union resident (read-only probe; hits never
-                            // evict, so residency holds at every segment).
-                            if let Some(ic) = icache.as_mut() {
-                                if !tr.probe.iter().all(|&l| ic.probe(l)) {
-                                    trace_fallbacks += 1;
-                                    break 'trace;
-                                }
-                            }
-                            // Admitted-register protocol, entry half: commit
-                            // the values of in-flight writes the chain will
-                            // touch, but keep them armed on the scoreboard —
-                            // a side exit before the touch point must leave
-                            // them observably in flight for the block tier.
-                            admitted.clear();
-                            for &r in &inflight {
-                                if tr.touch[r as usize] != u64::MAX {
-                                    regs[r as usize] = pending[r as usize];
-                                    admitted.push(r);
-                                }
-                            }
-                            trace_entries += 1;
-                            let entry = cycle;
-                            let mut seg_idx = 0usize;
-                            let mut next_pc;
-                            let mut taken;
-                            let mut halted;
-                            loop {
-                                let sblk = &self.map.blocks[tr.blocks[seg_idx] as usize];
-                                let seg = &tr.segs[seg_idx];
-                                if let Some(ic) = icache.as_mut() {
-                                    for &l in
-                                        &tr.lines[seg.lines_lo as usize..seg.lines_hi as usize]
-                                    {
-                                        ic.access_lines(l, l);
-                                    }
-                                }
-                                next_pc = sblk.end();
-                                taken = false;
-                                halted = false;
-                                for (i, meta) in d.bundles
-                                    [sblk.start() as usize..sblk.end() as usize]
-                                    .iter()
-                                    .enumerate()
-                                {
-                                    exec_bundle!(
-                                        meta,
-                                        sblk.start() + i as u32,
-                                        tr.flags[seg.flags_lo as usize + i],
-                                        next_pc,
-                                        taken,
-                                        halted
-                                    );
-                                }
-                                if halted || seg_idx + 1 == tr.segs.len() {
-                                    break;
-                                }
-                                if next_pc != seg.expect_pc || taken != seg.expect_taken {
-                                    trace_side_exits += 1;
-                                    break;
-                                }
-                                seg_idx += 1;
-                            }
-                            // Trace exit after `seg_idx`: cumulative
-                            // aggregates make any exit depth O(1).
-                            let seg = &tr.segs[seg_idx];
-                            out.bundles_executed += seg.nbundles;
-                            out.ops_executed += seg.act.ops;
-                            seg.act.apply(&mut out.activity);
-                            out.activity.bundles += seg.nbundles;
-                            out.activity.idle_slots += seg.idle_slots;
-                            out.activity.fetch_bytes += seg.fetch_bytes;
-                            out.interlock_stalls += seg.stalls;
-                            out.branch_stalls += seg.branch;
-                            cycle = entry + seg.total;
-                            fast_blocks += seg_idx as u64 + 1;
-                            // Admitted-register protocol, exit half: drop
-                            // entries that have landed *without* re-committing
-                            // (the chain may have overwritten the register
-                            // since the entry commit; `pending` is stale).
-                            // Entries still in the future — admitted ahead of
-                            // a touch point a side exit never reached — stay
-                            // armed, their pending value still equal to the
-                            // committed one.
-                            for &r in &admitted {
-                                if ready[r as usize] <= cycle {
-                                    ready[r as usize] = 0;
-                                }
-                            }
-                            if !admitted.is_empty() {
-                                inflight.retain(|&r| ready[r as usize] != 0);
-                            }
-                            if halted {
-                                break 'run;
-                            }
-                            if taken {
-                                cycle += d.branch_penalty;
-                                out.branch_stalls += d.branch_penalty;
-                            }
-                            for &(r, t) in &seg.live_out {
-                                let t = entry + t;
-                                if t > cycle {
-                                    ready[r as usize] = t;
-                                    pending[r as usize] = regs[r as usize];
-                                    inflight.push(r);
-                                }
-                            }
-                            pc = next_pc;
-                            if pc as usize >= d.bundles.len() {
-                                return Err(SimError::WildReturn { pc });
-                            }
-                            continue 'run;
-                        }
-                    }
                 }
                 // Entry guard 1b: a write still in flight is admissible if
                 // it lands at/before the block's first touch of its
@@ -1025,22 +469,141 @@ impl BlockVliw {
                     .iter()
                     .enumerate()
                 {
-                    exec_bundle!(
-                        meta,
-                        blk.start() + i as u32,
-                        so.flags[i],
-                        next_pc,
-                        taken,
-                        halted
-                    );
-                }
-
-                // Feed the trace tier's successor profile: loop blocks
-                // only, and a halt has no successor edge.
-                if !halted && blk.in_loop {
-                    if let Some(ts) = &self.traces {
-                        ts.record_succ(bi, next_pc, taken);
+                    let bpc = blk.start() + i as u32;
+                    let fl = so.flags[i];
+                    let mut sp_next = sp;
+                    let mut lr_next = lr;
+                    stores.clear();
+                    wbuf.clear();
+                    for op in &d.ops[meta.ops.0 as usize..meta.ops.1 as usize] {
+                        match &op.kind {
+                            ExecKind::Ldw { dst, base, off } => {
+                                let addr = i64::from(frd!(base)) + off;
+                                if addr < 0 || addr as usize >= memory.len() {
+                                    return Err(SimError::MemFault { pc: bpc, addr });
+                                }
+                                let v = memory[addr as usize];
+                                fwr!(fl, *dst, v);
+                            }
+                            ExecKind::Stw { val, base, off } => {
+                                let v = frd!(val);
+                                let addr = i64::from(frd!(base)) + off;
+                                if addr < 0 || addr as usize >= memory.len() {
+                                    return Err(SimError::MemFault { pc: bpc, addr });
+                                }
+                                if fl.defer_stores {
+                                    stores.push((addr, v));
+                                } else {
+                                    let a = addr as usize;
+                                    if a >= data_words && a < dirty_lo {
+                                        dirty_lo = a;
+                                    }
+                                    memory[a] = v;
+                                }
+                            }
+                            ExecKind::Br { target } => {
+                                next_pc = *target;
+                                taken = true;
+                            }
+                            ExecKind::BrT { cond, target } => {
+                                if frd!(cond) != 0 {
+                                    next_pc = *target;
+                                    taken = true;
+                                }
+                            }
+                            ExecKind::BrF { cond, target } => {
+                                if frd!(cond) == 0 {
+                                    next_pc = *target;
+                                    taken = true;
+                                }
+                            }
+                            ExecKind::Call { entry } => {
+                                lr_next = bpc + 1;
+                                next_pc = *entry;
+                                taken = true;
+                            }
+                            ExecKind::Ret => {
+                                if lr == LR_HALT {
+                                    halted = true;
+                                } else if lr as usize >= d.bundles.len() {
+                                    return Err(SimError::WildReturn { pc: bpc });
+                                } else {
+                                    next_pc = lr;
+                                    taken = true;
+                                }
+                            }
+                            ExecKind::Halt => halted = true,
+                            ExecKind::Emit { src } => {
+                                let v = frd!(src);
+                                out.output.push(v);
+                            }
+                            ExecKind::AddSp { imm } => {
+                                sp_next = (i64::from(sp) + imm) as u32;
+                            }
+                            ExecKind::MovFromSp { dst } => fwr!(fl, *dst, sp as i32),
+                            ExecKind::MovFromLr { dst } => fwr!(fl, *dst, lr as i32),
+                            ExecKind::MovToLr { src } => lr_next = frd!(src) as u32,
+                            ExecKind::Mov { dst, src } => {
+                                let v = frd!(src);
+                                fwr!(fl, *dst, v);
+                            }
+                            ExecKind::Select { dst, c, a, b } => {
+                                let c = frd!(c);
+                                let a = frd!(a);
+                                let b = frd!(b);
+                                fwr!(fl, *dst, if c != 0 { a } else { b });
+                            }
+                            ExecKind::Custom { id, srcs, dsts } => {
+                                argv.clear();
+                                for s in &d.pools.srcs[srcs.0 as usize..srcs.1 as usize] {
+                                    argv.push(frd!(s));
+                                }
+                                let def = &d.program.custom_ops[*id as usize];
+                                def.eval_into(&argv, &mut cvals, &mut couts).map_err(
+                                    |e| match e {
+                                        asip_isa::CustomOpError::Eval(_) => {
+                                            SimError::DivideByZero { pc: bpc }
+                                        }
+                                        other => SimError::InvalidProgram(other.to_string()),
+                                    },
+                                )?;
+                                for (&dst, &v) in d.pools.dsts[dsts.0 as usize..dsts.1 as usize]
+                                    .iter()
+                                    .zip(couts.iter())
+                                {
+                                    fwr!(fl, dst, v);
+                                }
+                            }
+                            ExecKind::Nop => {}
+                            ExecKind::Un { op, dst, a } => {
+                                let v = op.eval1(frd!(a)).expect("unary arith");
+                                fwr!(fl, *dst, v);
+                            }
+                            ExecKind::Bin { op, dst, a, b } => {
+                                let x = frd!(a);
+                                let y = frd!(b);
+                                let v = op.eval2(x, y).map_err(|e| match e {
+                                    EvalError::DivideByZero => SimError::DivideByZero { pc: bpc },
+                                    EvalError::NotArithmetic => SimError::InvalidProgram(format!(
+                                        "opcode {op} is not executable"
+                                    )),
+                                })?;
+                                fwr!(fl, *dst, v);
+                            }
+                        }
                     }
+                    for &(dst, v) in &wbuf {
+                        regs[dst as usize] = v;
+                    }
+                    for &(addr, v) in &stores {
+                        let a = addr as usize;
+                        if a >= data_words && a < dirty_lo {
+                            dirty_lo = a;
+                        }
+                        memory[a] = v;
+                    }
+                    sp = sp_next;
+                    lr = lr_next;
                 }
 
                 // Block exit: apply the precomputed aggregates in O(1).
@@ -1076,7 +639,7 @@ impl BlockVliw {
                 continue 'run;
             }
 
-            // ---- Slow path: one bundle of the decoded cycle loop. ----
+            // ---- Slow path: one bundle, cycle by cycle. ----
             if cycle > opts.max_cycles {
                 return Err(SimError::CycleLimit);
             }
@@ -1280,9 +843,6 @@ impl BlockVliw {
 
         self.fast_blocks.fetch_add(fast_blocks, Ordering::Relaxed);
         self.slow_bundles.fetch_add(slow_bundles, Ordering::Relaxed);
-        if let Some(ts) = &self.traces {
-            ts.count_run(trace_entries, trace_side_exits, trace_fallbacks);
-        }
         out.cycles = cycle;
         out.activity.cycles = cycle;
         // The result carries only the static-data region: the stack above

@@ -1,13 +1,14 @@
-//! The pre-decoded execution layer: compile a program + machine description
-//! **once** into a dense, flat representation, then run cycle loops that do
-//! no per-cycle table lookups and no per-bundle allocations.
+//! The pre-decoded form: compile a program + machine description **once**
+//! into a dense, flat representation that the block engines
+//! ([`crate::block`]) translate into superops and execute on their
+//! per-bundle slow path, with no per-cycle table lookups and no per-bundle
+//! allocations.
 //!
-//! The interpretive loops this layer replaces (preserved verbatim in
-//! [`crate::reference`] as the differential-testing oracle) re-resolved
-//! operands, re-looked-up latencies in the [`MachineDescription`] tables,
-//! recomputed bundle byte layout on every fetch, and allocated scratch
-//! `Vec`s inside the per-cycle loop. Pre-decoding hoists all of that out of
-//! the measurement loop:
+//! The interpretive loops in [`crate::reference`] (the differential
+//! oracle) re-resolve operands, re-look-up latencies in the
+//! [`MachineDescription`] tables, recompute bundle byte layout on every
+//! fetch, and allocate scratch `Vec`s inside the per-cycle loop.
+//! Pre-decoding hoists all of that to prepare time:
 //!
 //! * **Operands** are resolved to flat register-file indices
 //!   (`cluster * regs_per_cluster + index`; index 0 is the hardwired zero
@@ -17,23 +18,13 @@
 //! * **Branch targets and function entries** are resolved to bundle (or
 //!   instruction) indices, so `Call` never chases the function directory.
 //! * **Fetch geometry** — encoded byte size and the I-cache line span of
-//!   every pc — is a flat per-pc table; the per-fetch
-//!   `bundle_bytes`/`layout` calls are gone and the I-cache is probed with
+//!   every pc — is a flat per-pc table; the I-cache is probed with
 //!   [`crate::ICache::access_lines`] on precomputed line numbers.
 //! * The scalar **dual-issue pairing rule** is precomputed per adjacent
-//!   instruction pair (see [`scalar::DecodedScalar`]).
-//!
-//! The engines are **observationally identical** to the reference loops:
-//! every [`SimResult`](crate::SimResult) field — outputs, memory, stalls of
-//! every kind, activity counters — matches exactly, which the workspace
-//! differential suite pins over all presets × all kernels plus fuzzed
-//! machine configurations.
+//!   instruction pair (see [`scalar`]).
 
-pub mod scalar;
-pub mod vliw;
-
-pub use scalar::DecodedScalar;
-pub use vliw::DecodedVliw;
+pub(crate) mod scalar;
+pub(crate) mod vliw;
 
 use asip_isa::{CustomOpDef, LatClass, MachineDescription, MachineOp, Opcode, Operand, Reg};
 
@@ -153,9 +144,9 @@ pub(crate) struct CustomPools {
 }
 
 /// A fresh data-memory image: zeroed to `dmem_words`, with `globals`'
-/// initializers applied — the one definition shared by both decoded
-/// engines and the reference loops, so the image semantics can never
-/// drift between the differential pair.
+/// initializers applied — the one definition shared by the block engines
+/// and the reference loops, so the image semantics can never drift
+/// between the differential pair.
 pub(crate) fn initial_memory(dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
     let mut memory = vec![0i32; dmem_words as usize];
     for g in globals {
@@ -252,8 +243,8 @@ impl MemPool {
     }
 }
 
-/// First-touch entry admission, shared by the block engines' superop
-/// guards and the superblock trace guards: an in-flight write to register
+/// First-touch entry admission, shared by both block engines' superop
+/// guards: an in-flight write to register
 /// `r` landing at or before `base + touch[r]` — the entry cycle plus the
 /// consumer's first-touch issue offset for `r` — provably cannot change
 /// the consumer's statically-replayed timing, so the fast path stays

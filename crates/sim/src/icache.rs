@@ -64,8 +64,8 @@ impl ICache {
     }
 
     /// Access the inclusive line-number span `[first, last]`; returns the
-    /// number of misses incurred. The pre-decoded simulators
-    /// ([`crate::exec`]) compute every pc's span once at decode time and
+    /// number of misses incurred. The block engines ([`crate::block`])
+    /// compute every pc's span once at decode time and
     /// call this directly, so the per-fetch address arithmetic (and the
     /// per-fetch byte-size recomputation that fed it) is gone from the
     /// cycle loops.

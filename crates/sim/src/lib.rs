@@ -19,54 +19,32 @@
 //! under the machine's instruction encoding, and both report through one
 //! [`SimResult`].
 //!
-//! ## The pre-decoded execution layer
+//! ## The engines
 //!
 //! Fast candidate evaluation is what makes instruction-set exploration
-//! tractable, so the cycle loops are built for speed: [`Simulator::new`]
-//! and [`ScalarSimulator::new`] compile the program + machine description
-//! **once** into a dense [`exec::DecodedVliw`] / [`exec::DecodedScalar`] —
-//! operands as flat register indices, latencies/activity classes/fetch
-//! geometry baked from the machine tables, branch targets resolved, the
-//! scalar dual-issue pairing rule precomputed per adjacent pair — and the
-//! loops then run allocation-free with O(1) per-register ready-time
-//! scoreboards. The original interpretive loops are preserved in
-//! [`mod@reference`] as the differential-testing oracle.
+//! tractable, so there is one fast engine per target beside the oracle.
+//! [`Simulator::new`] and [`ScalarSimulator::new`] prepare the program +
+//! machine description **once**: the default [`SimEngine::Block`]
+//! pre-decodes it into a dense form (operands as flat register indices,
+//! latencies/activity classes/fetch geometry baked from the machine
+//! tables, branch targets resolved, the scalar dual-issue pairing rule
+//! precomputed per adjacent pair), discovers basic blocks (via
+//! `asip_dbt::blocks`) and translates each hot block — on first visit,
+//! into a per-block [`std::sync::OnceLock`] cache — into a **superop**
+//! whose static costs (issue cycles, interlock stalls against a
+//! block-entry scoreboard, fetch bytes, activity deltas, touched I-cache
+//! lines) are folded at translate time ([`block`]). The dispatch loop then
+//! executes whole blocks: entry guards (block-start pc, no in-flight
+//! writes, resident I-cache lines, headroom under the cycle limit) decide
+//! per dispatch whether the superop applies; when any guard fails,
+//! execution falls back to an exact cycle-by-cycle slow path for one pc
+//! and re-attempts fast dispatch at the next block boundary.
 //!
-//! ## The block-compiled execution layer
-//!
-//! On top of the decoded form, [`block`] goes one step further:
-//! [`BlockVliw`] / [`BlockScalar`] discover basic blocks (via
-//! `asip_dbt::blocks`) and translate each hot block — on first visit, into
-//! a per-block [`std::sync::OnceLock`] cache — into a **superop** whose
-//! static costs (issue cycles, interlock stalls against a block-entry
-//! scoreboard, fetch bytes, activity deltas, touched I-cache lines) are
-//! folded at translate time. The dispatch loop then executes whole blocks:
-//! entry guards (block-start pc, no in-flight writes, resident I-cache
-//! lines, headroom under the cycle limit) decide per dispatch whether the
-//! superop applies; when any guard fails, execution falls back to the
-//! exact decoded loop body for one pc and re-attempts fast dispatch at the
-//! next block boundary.
-//!
-//! ## The superblock trace layer
-//!
-//! The fourth tier chains blocks: running with traces enabled
-//! ([`BlockVliw::with_traces`] / [`BlockScalar::with_traces`], the
-//! [`SimEngine::Superblock`] knob), the dispatcher counts dispatches of
-//! in-loop block leaders and records each block's dominant successor with
-//! a Boyer–Moore majority sketch. When a leader crosses the promotion
-//! threshold ([`SimOptions::sb_threshold`]), the confident successor
-//! edges are chained into a **superblock**: one composed superop covering
-//! the whole hot path, its aggregates pre-summed across the internal
-//! control transfers, its I-cache line set unioned, its scoreboard
-//! effects replayed chain-globally and specialized for the dominant entry
-//! state. Side exits (the prediction missing mid-trace) resume in the
-//! block dispatcher with exact partial aggregates; entry-guard failures
-//! fall back to plain block dispatch.
-//!
-//! Which engine serves a run is a [`SimEngine`] knob on [`SimOptions`];
-//! all four are observationally identical — the workspace test suite pins
+//! [`SimEngine::Reference`] runs the original interpretive loops preserved
+//! in [`mod@reference`], the differential-testing oracle. The two engines
+//! are observationally identical — the workspace test suite pins
 //! bit-identical [`SimResult`]s on every preset × kernel and under fuzzed
-//! machine configurations, fallback and side-exit paths included.
+//! machine configurations, slow-path fallbacks included.
 //!
 //! ## Example
 //!
@@ -88,14 +66,13 @@
 #![warn(missing_docs)]
 
 pub mod block;
-pub mod exec;
+mod exec;
 pub mod icache;
 pub mod reference;
 pub mod run;
 pub mod scalar;
 
 pub use block::{BlockScalar, BlockVliw};
-pub use exec::{DecodedScalar, DecodedVliw};
 pub use icache::ICache;
 pub use run::{run_program, SimEngine, SimError, SimOptions, SimResult, Simulator};
 pub use scalar::{run_scalar_program, ScalarSimulator};

@@ -1,16 +1,16 @@
 //! The original interpretive cycle loops, preserved as the differential
-//! oracle for the pre-decoded engines in [`crate::exec`].
+//! oracle for the block-compiled engines in [`crate::block`].
 //!
 //! These are the pre-refactor simulators, byte-for-byte in behavior: they
 //! re-resolve operands against [`Operand`]s, look latencies and encodings
 //! up in the [`MachineDescription`] tables on every cycle, track in-flight
 //! writes in a scanned vector and allocate per-bundle scratch — exactly
-//! what the decoded engines optimize away. The workspace differential suite
-//! (`crates/sim/tests/decoded_differential.rs`) pins that both engines
-//! produce identical [`SimResult`]s — every stall and activity counter
-//! included — over all presets × all kernels and fuzzed machine
-//! configurations; the microbenchmarks in `crates/bench` measure the
-//! speedup against them.
+//! what the block engines' pre-decoded form optimizes away. The workspace
+//! differential suite (`crates/sim/tests/decoded_differential.rs`) pins
+//! that both engines produce identical [`SimResult`]s — every stall and
+//! activity counter included — over all presets × all kernels and fuzzed
+//! machine configurations; the microbenchmarks in `crates/bench` measure
+//! the speedup against them.
 
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};

@@ -16,60 +16,45 @@
 //!
 //! Taken control transfers pay the machine's branch penalty.
 //!
-//! Since the pre-decode refactor the loop itself lives in
-//! [`crate::exec::vliw`]: [`Simulator::new`] compiles the program once into
-//! a [`DecodedVliw`] (operands as flat register indices, latencies and
-//! fetch geometry baked in) and [`Simulator::run`] drives that engine. The
-//! original interpretive loop survives in [`crate::reference`] as the
-//! differential oracle.
+//! [`Simulator::new`] prepares the program once for the engine named by
+//! [`SimOptions::engine`]: by default the block-compiled [`BlockVliw`]
+//! (operands as flat register indices, latencies and fetch geometry baked
+//! in, superops per basic block), or the interpretive loop in
+//! [`crate::reference`], which is the differential oracle.
 
 use crate::block::BlockVliw;
-use crate::exec::DecodedVliw;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{ActivityCounts, MachineDescription, VliwProgram};
 use std::fmt;
 
-/// Which execution engine the simulators drive. All four are
+/// Which execution engine the simulators drive. Both are
 /// **observationally identical** — every [`SimResult`] field matches
 /// bit-for-bit (the workspace differential suites pin this) — and differ
 /// only in throughput:
 ///
 /// * [`Reference`](SimEngine::Reference): the preserved interpretive
 ///   loops ([`crate::reference`]), the differential oracle.
-/// * [`Decoded`](SimEngine::Decoded): the pre-decoded cycle loops
-///   ([`crate::exec`]) — per-op table lookups hoisted to decode time.
 /// * [`Block`](SimEngine::Block): the block-compiled superop engine
 ///   ([`crate::block`]) — basic blocks translated once into precomputed
 ///   block-level costs, dispatched by a threaded-code loop, falling back
-///   to the decoded cycle loop per bundle when a block's fast-path
+///   to a cycle-exact slow path per bundle when a block's fast-path
 ///   assumptions fail. The default.
-/// * [`Superblock`](SimEngine::Superblock): the block engine plus a
-///   trace tier — hot loop blocks are chained into superblocks along
-///   their profiled dominant path ([`SimOptions::sb_threshold`]); side
-///   exits fall back into the block dispatcher, guard failures fall
-///   further to the decoded loop body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimEngine {
     /// Interpretive oracle loops.
     Reference,
-    /// Pre-decoded cycle loops.
-    Decoded,
     /// Block-compiled superop engine (default).
     #[default]
     Block,
-    /// Block engine with profile-directed trace superblocks on top.
-    Superblock,
 }
 
 impl SimEngine {
-    /// Parse an engine name (`"reference"`, `"decoded"`, `"block"`,
-    /// `"superblock"`, case-insensitive); `None` for anything else.
+    /// Parse an engine name (`"reference"` or `"block"`,
+    /// case-insensitive); `None` for anything else.
     pub fn parse(s: &str) -> Option<SimEngine> {
         match s.trim().to_ascii_lowercase().as_str() {
             "reference" => Some(SimEngine::Reference),
-            "decoded" => Some(SimEngine::Decoded),
             "block" => Some(SimEngine::Block),
-            "superblock" => Some(SimEngine::Superblock),
             _ => None,
         }
     }
@@ -78,9 +63,7 @@ impl SimEngine {
     pub fn name(self) -> &'static str {
         match self {
             SimEngine::Reference => "reference",
-            SimEngine::Decoded => "decoded",
             SimEngine::Block => "block",
-            SimEngine::Superblock => "superblock",
         }
     }
 }
@@ -100,12 +83,6 @@ pub struct SimOptions {
     /// results, so this is purely a throughput/diagnostics knob — cached
     /// Simulate artifacts are deliberately keyed *without* it.
     pub engine: SimEngine,
-    /// Superblock promotion threshold: a loop block must dispatch this many
-    /// times before the [`SimEngine::Superblock`] tier tries to chain a
-    /// trace from it. Read at *run* time, so prepared engine state stays
-    /// threshold-independent; like `engine`, it can never change results
-    /// and is keyed out of cached Simulate artifacts.
-    pub sb_threshold: u32,
 }
 
 impl Default for SimOptions {
@@ -113,7 +90,6 @@ impl Default for SimOptions {
         SimOptions {
             max_cycles: 2_000_000_000,
             engine: SimEngine::default(),
-            sb_threshold: 64,
         }
     }
 }
@@ -381,12 +357,11 @@ impl Codec for SimError {
 #[derive(Debug)]
 enum VliwBackend {
     /// The interpretive oracle re-reads the raw program per run, so this
-    /// arm carries its own clones instead of a decoding.
+    /// arm carries its own clones instead of a prepared form.
     Reference {
-        machine: MachineDescription,
-        program: VliwProgram,
+        machine: Box<MachineDescription>,
+        program: Box<VliwProgram>,
     },
-    Decoded(DecodedVliw),
     Block(Box<BlockVliw>),
 }
 
@@ -407,8 +382,8 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Prepare a simulation: validates the program and pre-decodes (or
-    /// block-compiles) it for the engine in `opts`.
+    /// Prepare a simulation: validates the program and, for the block
+    /// engine, block-compiles it (the engine is named in `opts`).
     ///
     /// # Errors
     ///
@@ -425,15 +400,11 @@ impl Simulator {
                     .validate(machine)
                     .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
                 VliwBackend::Reference {
-                    machine: machine.clone(),
-                    program: program.clone(),
+                    machine: Box::new(machine.clone()),
+                    program: Box::new(program.clone()),
                 }
             }
-            SimEngine::Decoded => VliwBackend::Decoded(DecodedVliw::new(machine, program)?),
             SimEngine::Block => VliwBackend::Block(Box::new(BlockVliw::new(machine, program)?)),
-            SimEngine::Superblock => {
-                VliwBackend::Block(Box::new(BlockVliw::with_traces(machine, program)?))
-            }
         };
         Ok(Simulator {
             backend,
@@ -451,8 +422,7 @@ impl Simulator {
     /// if the global does not exist.
     pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
         let program = match &self.backend {
-            VliwBackend::Reference { program, .. } => program,
-            VliwBackend::Decoded(d) => d.program(),
+            VliwBackend::Reference { program, .. } => program.as_ref(),
             VliwBackend::Block(b) => b.program(),
         };
         let Some(g) = program.global(name) else {
@@ -478,7 +448,6 @@ impl Simulator {
                 args,
                 self.opts,
             ),
-            VliwBackend::Decoded(d) => d.run_with_inputs(&self.overrides, args, self.opts),
             VliwBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
         }
     }

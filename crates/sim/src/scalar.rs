@@ -24,18 +24,17 @@
 //! can only cost cycles, never correctness (the same invariant the VLIW
 //! simulator keeps via interlocks).
 //!
-//! Since the pre-decode refactor the loop itself lives in
-//! [`crate::exec::scalar`]: [`ScalarSimulator::new`] compiles the program
-//! once into a [`DecodedScalar`] (flat operands, baked latencies, the
-//! dual-issue pairing rule precomputed per adjacent instruction pair) and
-//! [`ScalarSimulator::run`] drives that engine. The original interpretive
-//! loop survives in [`crate::reference`] as the differential oracle.
+//! [`ScalarSimulator::new`] prepares the program once for the engine
+//! named by [`SimOptions::engine`]: by default the block-compiled
+//! [`BlockScalar`] (flat operands, baked latencies, the dual-issue pairing
+//! rule precomputed per adjacent instruction pair, superops per basic
+//! block), or the interpretive loop in [`crate::reference`], which is the
+//! differential oracle.
 //!
 //! [`forwarding`]: asip_isa::MachineDescription::forwarding
 //! [`ICache`]: crate::ICache
 
 use crate::block::BlockScalar;
-use crate::exec::DecodedScalar;
 use crate::run::{SimEngine, SimError, SimOptions, SimResult};
 use asip_isa::{MachineDescription, ScalarProgram};
 
@@ -44,12 +43,11 @@ use asip_isa::{MachineDescription, ScalarProgram};
 #[derive(Debug)]
 enum ScalarBackend {
     /// The interpretive oracle re-reads the raw program per run, so this
-    /// arm carries its own clones instead of a decoding.
+    /// arm carries its own clones instead of a prepared form.
     Reference {
-        machine: MachineDescription,
-        program: ScalarProgram,
+        machine: Box<MachineDescription>,
+        program: Box<ScalarProgram>,
     },
-    Decoded(DecodedScalar),
     Block(Box<BlockScalar>),
 }
 
@@ -68,8 +66,8 @@ pub struct ScalarSimulator {
 }
 
 impl ScalarSimulator {
-    /// Prepare a simulation: validates the program and pre-decodes (or
-    /// block-compiles) it for the engine in `opts`.
+    /// Prepare a simulation: validates the program and, for the block
+    /// engine, block-compiles it (the engine is named in `opts`).
     ///
     /// # Errors
     ///
@@ -86,15 +84,11 @@ impl ScalarSimulator {
                     .validate(machine)
                     .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
                 ScalarBackend::Reference {
-                    machine: machine.clone(),
-                    program: program.clone(),
+                    machine: Box::new(machine.clone()),
+                    program: Box::new(program.clone()),
                 }
             }
-            SimEngine::Decoded => ScalarBackend::Decoded(DecodedScalar::new(machine, program)?),
             SimEngine::Block => ScalarBackend::Block(Box::new(BlockScalar::new(machine, program)?)),
-            SimEngine::Superblock => {
-                ScalarBackend::Block(Box::new(BlockScalar::with_traces(machine, program)?))
-            }
         };
         Ok(ScalarSimulator {
             backend,
@@ -112,8 +106,7 @@ impl ScalarSimulator {
     /// if the global does not exist.
     pub fn write_global(&mut self, name: &str, data: &[i32]) -> bool {
         let program = match &self.backend {
-            ScalarBackend::Reference { program, .. } => program,
-            ScalarBackend::Decoded(d) => d.program(),
+            ScalarBackend::Reference { program, .. } => program.as_ref(),
             ScalarBackend::Block(b) => b.program(),
         };
         let Some(g) = program.global(name) else {
@@ -141,7 +134,6 @@ impl ScalarSimulator {
                     self.opts,
                 )
             }
-            ScalarBackend::Decoded(d) => d.run_with_inputs(&self.overrides, args, self.opts),
             ScalarBackend::Block(b) => b.run_with_inputs(&self.overrides, args, self.opts),
         }
     }
@@ -151,7 +143,7 @@ impl ScalarSimulator {
 /// more of kind `extra` can all be assigned to *distinct* slots of the
 /// machine's slot table — the dynamic pairing rule of the in-order front
 /// end. Solved as a tiny bipartite matching (groups hold at most two
-/// instructions, so this is a couple of probes, not a search). The decoded
+/// instructions, so this is a couple of probes, not a search). The block
 /// engine evaluates this once per adjacent instruction pair at decode time;
 /// the reference loop still calls it per issued instruction.
 pub(crate) fn group_fits(

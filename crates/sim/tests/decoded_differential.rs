@@ -1,16 +1,16 @@
-//! Differential testing of the pre-decoded engines ([`asip_sim::exec`])
-//! and the block-compiled engines ([`asip_sim::block`]) against the
-//! preserved interpretive loops ([`asip_sim::reference`]).
+//! Differential testing of the block-compiled engines
+//! ([`asip_sim::block`]) against the preserved interpretive loops
+//! ([`asip_sim::reference`]).
 //!
-//! The faster engines must be **observationally identical**: every field
+//! The block engines must be **observationally identical**: every field
 //! of [`SimResult`] — outputs, final memory, total cycles, interlock /
 //! I-cache / branch stall counters, bundles and ops executed, and all
 //! dynamic activity counters — must match the reference loops exactly, on
 //! every preset of both target kinds × every workload kernel, and on
 //! fuzzed machine configurations drawn from the customization space. The
-//! block engines' guard-failure fallback (cold I-cache lines, in-flight
-//! writes, looming cycle limits, mid-block entries) is pinned separately
-//! at the bottom of this file.
+//! block engines' guard-failure fallback to the cycle-exact slow path
+//! (cold I-cache lines, in-flight writes, looming cycle limits, mid-block
+//! entries) is pinned separately at the bottom of this file.
 
 use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
 use asip_ir::interp::{Interp, InterpOptions, Profile};
@@ -44,9 +44,6 @@ fn profile(module: &Module, w: &Workload) -> Profile {
 fn opts(engine: SimEngine) -> SimOptions {
     SimOptions {
         engine,
-        // Low promotion threshold so the superblock tier actually forms
-        // and dispatches traces on the short differential kernels.
-        sb_threshold: 4,
         ..SimOptions::default()
     }
 }
@@ -62,7 +59,7 @@ fn run_engine(machine: &MachineDescription, w: &Workload, engine: SimEngine) -> 
             let compiled = compile_module(&module, machine, prof, &BackendOptions::default())
                 .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name));
             let mut sim = Simulator::new(machine, &compiled.program, opts(engine))
-                .unwrap_or_else(|e| panic!("decode {} on {}: {e}", w.name, machine.name));
+                .unwrap_or_else(|e| panic!("prepare {} on {}: {e}", w.name, machine.name));
             for (name, data) in &w.inputs {
                 sim.write_global(name, data);
             }
@@ -74,7 +71,7 @@ fn run_engine(machine: &MachineDescription, w: &Workload, engine: SimEngine) -> 
                 compile_module_scalar(&module, machine, prof, &BackendOptions::default())
                     .unwrap_or_else(|e| panic!("compile {} on {}: {e}", w.name, machine.name));
             let mut sim = ScalarSimulator::new(machine, &compiled.program, opts(engine))
-                .unwrap_or_else(|e| panic!("decode {} on {}: {e}", w.name, machine.name));
+                .unwrap_or_else(|e| panic!("prepare {} on {}: {e}", w.name, machine.name));
             for (name, data) in &w.inputs {
                 sim.write_global(name, data);
             }
@@ -84,17 +81,12 @@ fn run_engine(machine: &MachineDescription, w: &Workload, engine: SimEngine) -> 
     }
 }
 
-/// Run one workload through all four engines for `machine` and return
-/// the results as `(reference, decoded, block, superblock)`.
-fn all_engines(
-    machine: &MachineDescription,
-    w: &Workload,
-) -> (SimResult, SimResult, SimResult, SimResult) {
+/// Run one workload through both engines for `machine` and return the
+/// results as `(reference, block)`.
+fn both_engines(machine: &MachineDescription, w: &Workload) -> (SimResult, SimResult) {
     (
         run_engine(machine, w, SimEngine::Reference),
-        run_engine(machine, w, SimEngine::Decoded),
         run_engine(machine, w, SimEngine::Block),
-        run_engine(machine, w, SimEngine::Superblock),
     )
 }
 
@@ -122,18 +114,15 @@ fn assert_fields(d: &SimResult, r: &SimResult, ctx: &str) {
     assert_eq!(d, r, "{ctx}: SimResult");
 }
 
-/// Decoded ≡ reference, block ≡ reference and superblock ≡ reference,
-/// field by field.
+/// Block ≡ reference, field by field.
 fn assert_identical(machine: &MachineDescription, w: &Workload) {
-    let (r, d, b, s) = all_engines(machine, w);
+    let (r, b) = both_engines(machine, w);
     let ctx = format!("{} on {}", w.name, machine.name);
-    assert_fields(&d, &r, &format!("decoded, {ctx}"));
     assert_fields(&b, &r, &format!("block, {ctx}"));
-    assert_fields(&s, &r, &format!("superblock, {ctx}"));
 }
 
-/// Every preset of both target kinds × every workload kernel: the decoded
-/// and block engines reproduce the reference engines bit-for-bit.
+/// Every preset of both target kinds × every workload kernel: the block
+/// engines reproduce the reference engines bit-for-bit.
 #[test]
 fn all_presets_all_kernels_identical() {
     for machine in MachineDescription::all_presets() {
@@ -162,25 +151,11 @@ fn icache_accounting_unchanged_on_all_presets() {
         for name in ws {
             let w = asip_workloads::by_name(name).unwrap();
             for machine in [&base, &tiny] {
-                let (r, d, b, s) = all_engines(machine, &w);
-                assert_eq!(
-                    (d.icache_misses, d.icache_stalls),
-                    (r.icache_misses, r.icache_stalls),
-                    "decoded, {} on {}: icache accounting diverged",
-                    w.name,
-                    machine.name
-                );
+                let (r, b) = both_engines(machine, &w);
                 assert_eq!(
                     (b.icache_misses, b.icache_stalls),
                     (r.icache_misses, r.icache_stalls),
                     "block, {} on {}: icache accounting diverged",
-                    w.name,
-                    machine.name
-                );
-                assert_eq!(
-                    (s.icache_misses, s.icache_stalls),
-                    (r.icache_misses, r.icache_stalls),
-                    "superblock, {} on {}: icache accounting diverged",
                     w.name,
                     machine.name
                 );
@@ -189,8 +164,8 @@ fn icache_accounting_unchanged_on_all_presets() {
     }
 }
 
-/// Errors must shape-match too: the decoded and block engines report the
-/// same divide-by-zero / bad-args errors the reference engine does.
+/// Errors must shape-match too: the block engine reports the same
+/// divide-by-zero / bad-args errors the reference engine does.
 #[test]
 fn error_paths_match_reference() {
     let src = "void main(int x) { emit(100 / x); }";
@@ -202,13 +177,11 @@ fn error_paths_match_reference() {
         let reference =
             reference::run_vliw_reference(&m, &compiled.program, &[], args, SimOptions::default())
                 .unwrap_err();
-        for engine in [SimEngine::Decoded, SimEngine::Block, SimEngine::Superblock] {
-            let err = Simulator::new(&m, &compiled.program, opts(engine))
-                .unwrap()
-                .run(args)
-                .unwrap_err();
-            assert_eq!(err, reference, "{engine} error for args {args:?}");
-        }
+        let err = Simulator::new(&m, &compiled.program, opts(SimEngine::Block))
+            .unwrap()
+            .run(args)
+            .unwrap_err();
+        assert_eq!(err, reference, "block error for args {args:?}");
     }
 }
 
@@ -313,7 +286,7 @@ fn fuzzed_scalar(
 }
 
 proptest! {
-    /// Property: on a random kernel and a random VLIW machine, decoded and
+    /// Property: on a random kernel and a random VLIW machine, block and
     /// reference engines produce identical `SimResult`s.
     #[test]
     fn random_vliw_machines_identical(
@@ -342,8 +315,8 @@ proptest! {
         assert_identical(&m, w);
     }
 
-    /// Property: on a random kernel and a random scalar machine, decoded
-    /// and reference engines produce identical `SimResult`s.
+    /// Property: on a random kernel and a random scalar machine, block and
+    /// reference engines produce identical `SimResult`s.
     #[test]
     fn random_scalar_machines_identical(
         kernel in 0usize..17,
@@ -375,7 +348,7 @@ proptest! {
 /// The block engines' guard-failure fallback must actually be exercised
 /// and stay exact: on an I-cached machine, every *first* visit to a block
 /// finds cold lines, fails the residency probe and takes the slow path
-/// (the decoded loop body, one pc at a time), while hot revisits run as
+/// (the cycle-exact loop body, one pc at a time), while hot revisits run as
 /// superops — and the result is still bit-identical to the reference.
 #[test]
 fn block_vliw_fallback_slow_path_exercised() {
@@ -455,91 +428,11 @@ fn block_scalar_fallback_slow_path_exercised() {
     assert_fields(&got, &r, "block fallback, fir on scalar tinyic");
 }
 
-/// The superblock tier must actually fire on a hot loop: traces are
-/// formed, dispatched repeatedly, and side exits (the dominant successor
-/// prediction missing on a data-dependent branch) are exercised — and the
-/// result is still bit-identical to the reference loop.
-#[test]
-fn superblock_vliw_traces_and_side_exits_exercised() {
-    let m = MachineDescription::ember4();
-    let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockVliw::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.traces_formed() > 0,
-        "hot loop must form superblock traces"
-    );
-    assert!(sb.trace_entries() > 0, "formed traces must be dispatched");
-    assert!(
-        sb.trace_side_exits() > 0,
-        "data-dependent branches must take side exits"
-    );
-    let r = reference::run_vliw_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock, sort on ember4");
-}
-
-/// Scalar mirror of the trace-formation pin.
-#[test]
-fn superblock_scalar_traces_and_side_exits_exercised() {
-    let m = MachineDescription::all_presets()
-        .into_iter()
-        .find(|m| m.target == TargetKind::Scalar)
-        .expect("at least one scalar preset");
-    let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module_scalar(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockScalar::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.traces_formed() > 0,
-        "hot loop must form superblock traces"
-    );
-    assert!(sb.trace_entries() > 0, "formed traces must be dispatched");
-    assert!(
-        sb.trace_side_exits() > 0,
-        "data-dependent branches must take side exits"
-    );
-    let r = reference::run_scalar_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock, sort on scalar preset");
-}
-
-/// With a tiny I-cache the trace-entry residency probe must sometimes
-/// fail (evicted lines inside the chained path), falling back to the
-/// plain block dispatcher — exactly, with the fallback counter moving.
-#[test]
-fn superblock_guard_failure_fallback_exercised() {
-    let m = MachineDescription::ember4().derive("ember4-tinyic", |m| {
-        m.icache = Some(ICacheConfig {
-            size_bytes: 256,
-            line_bytes: 16,
-            ways: 1,
-            miss_penalty: 9,
-        });
-        m.encoding = asip_isa::Encoding::Uncompressed;
-    });
-    let w = asip_workloads::by_name("sort").unwrap();
-    let module = frontend(&w);
-    let compiled = compile_module(&module, &m, None, &BackendOptions::default()).unwrap();
-    let sb = BlockVliw::with_traces(&m, &compiled.program).unwrap();
-    let o = opts(SimEngine::Superblock);
-    let got = sb.run_with_inputs(&w.inputs, &w.args, o).unwrap();
-    assert!(
-        sb.trace_fallbacks() > 0,
-        "cold chained lines must fall back to the block dispatcher"
-    );
-    let r = reference::run_vliw_reference(&m, &compiled.program, &w.inputs, &w.args, o).unwrap();
-    assert_fields(&got, &r, "superblock fallback, sort on ember4-tinyic");
-}
-
 /// Near the cycle limit the block engine's conservative `last_issue`
-/// entry guard must hand over to the slow path, and all three engines
-/// must agree on exactly where `CycleLimit` trips.
+/// entry guard must hand over to the slow path, and both engines must
+/// agree on exactly where `CycleLimit` trips.
 #[test]
-fn block_cycle_limit_matches_other_engines() {
+fn block_cycle_limit_matches_reference() {
     let w = asip_workloads::by_name("fir").unwrap();
     let m = MachineDescription::ember4();
     let module = frontend(&w);
@@ -567,12 +460,8 @@ fn block_cycle_limit_matches_other_engines() {
         full.cycles,
         full.cycles + 1,
     ] {
-        let d = run(SimEngine::Decoded, max_cycles);
         let b = run(SimEngine::Block, max_cycles);
-        let s = run(SimEngine::Superblock, max_cycles);
         let r = run(SimEngine::Reference, max_cycles);
-        assert_eq!(d, r, "decoded vs reference at max_cycles={max_cycles}");
         assert_eq!(b, r, "block vs reference at max_cycles={max_cycles}");
-        assert_eq!(s, r, "superblock vs reference at max_cycles={max_cycles}");
     }
 }

@@ -92,7 +92,7 @@ fn repeated_run_workload_hits_and_is_stable() {
 }
 
 /// Repeated measurement of one compiled artifact reuses its prepared
-/// (block-compiled / decoded) simulation form: different arguments miss
+/// (block-compiled) simulation form: different arguments miss
 /// the Simulate tier — they are distinct measurements — but hit the
 /// process-local preparation map surfaced as [`CacheStats::decode`].
 #[test]

@@ -128,23 +128,24 @@ fn sim_engine_env_feeds_default_but_builder_wins() {
         Session::builder().build().toolchain().sim.engine,
         SimEngine::Reference
     );
-    std::env::set_var(ENGINE_ENV, "Decoded");
+    std::env::set_var(ENGINE_ENV, "Reference");
     assert_eq!(
         Session::builder().build().toolchain().sim.engine,
-        SimEngine::Decoded
+        SimEngine::Reference
     );
 
     // …and outranks an engine carried inside `.sim(..)` options…
-    std::env::set_var(ENGINE_ENV, "reference");
+    std::env::set_var(ENGINE_ENV, "block");
     let s = Session::builder()
         .sim(SimOptions {
-            engine: SimEngine::Decoded,
+            engine: SimEngine::Reference,
             ..SimOptions::default()
         })
         .build();
-    assert_eq!(s.toolchain().sim.engine, SimEngine::Reference);
+    assert_eq!(s.toolchain().sim.engine, SimEngine::Block);
 
     // …but an explicit `sim_engine(..)` call wins over everything.
+    std::env::set_var(ENGINE_ENV, "reference");
     let s = Session::builder().sim_engine(SimEngine::Block).build();
     assert_eq!(s.toolchain().sim.engine, SimEngine::Block);
 
@@ -156,50 +157,15 @@ fn sim_engine_env_feeds_default_but_builder_wins() {
         SimEngine::Block
     );
 
+    // So do the retired engine names: they no longer parse, and the
+    // "unparseable values are ignored" rule applies.
+    for retired in ["decoded", "superblock"] {
+        assert_eq!(SimEngine::parse(retired), None, "{retired}");
+        std::env::set_var(ENGINE_ENV, retired);
+        assert_eq!(default_engine(), SimEngine::Block, "{retired}");
+    }
+
     std::env::remove_var(ENGINE_ENV);
-}
-
-/// Superblock promotion-threshold precedence, mirroring the engine rules:
-/// an explicit `sb_threshold(..)` builder call always wins; otherwise
-/// `ASIP_SB_THRESHOLD` supplies the default (positive integers only);
-/// with neither, 64 is the compiled-in default. A `.sim(..)`-carried
-/// threshold is a default too — the environment outranks it.
-#[test]
-fn sb_threshold_env_feeds_default_but_builder_wins() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    use asip::core::session::SB_THRESHOLD_ENV;
-    use asip::sim::SimOptions;
-
-    // Compiled-in default.
-    std::env::remove_var(SB_THRESHOLD_ENV);
-    assert_eq!(SimOptions::default().sb_threshold, 64);
-    let s = Session::builder().build();
-    assert_eq!(s.toolchain().sim.sb_threshold, 64);
-
-    // Env supplies the default…
-    std::env::set_var(SB_THRESHOLD_ENV, "16");
-    assert_eq!(Session::builder().build().toolchain().sim.sb_threshold, 16);
-
-    // …and outranks a threshold carried inside `.sim(..)` options…
-    let s = Session::builder()
-        .sim(SimOptions {
-            sb_threshold: 8,
-            ..SimOptions::default()
-        })
-        .build();
-    assert_eq!(s.toolchain().sim.sb_threshold, 16);
-
-    // …but an explicit `sb_threshold(..)` call wins over everything.
-    let s = Session::builder().sb_threshold(128).build();
-    assert_eq!(s.toolchain().sim.sb_threshold, 128);
-
-    // Zero and garbage fall back to the compiled-in default.
-    std::env::set_var(SB_THRESHOLD_ENV, "0");
-    assert_eq!(Session::builder().build().toolchain().sim.sb_threshold, 64);
-    std::env::set_var(SB_THRESHOLD_ENV, "lukewarm");
-    assert_eq!(Session::builder().build().toolchain().sim.sb_threshold, 64);
-
-    std::env::remove_var(SB_THRESHOLD_ENV);
 }
 
 /// Shard-count precedence, mirroring the `ASIP_GRID_THREADS` rules: an
@@ -360,20 +326,4 @@ fn simulate_cache_keys_are_engine_agnostic() {
         "another engine must hit the same Simulate entry"
     );
     assert_eq!(r1.sim, r2.sim, "served result equals the engine's own");
-
-    // The superblock tier (and its promotion threshold) is just as
-    // invisible to the Simulate key.
-    let s3 = Session::builder()
-        .cache(Arc::clone(&cache))
-        .sim_engine(SimEngine::Superblock)
-        .sb_threshold(4)
-        .build();
-    let r3 = s3.run_workload(&w, &m).expect("superblock run");
-    let stats = s3.cache_stats();
-    assert_eq!(
-        (stats.simulate.hits, stats.simulate.misses),
-        (2, 1),
-        "the superblock engine must hit the same Simulate entry"
-    );
-    assert_eq!(r1.sim, r3.sim, "served result equals the engine's own");
 }
