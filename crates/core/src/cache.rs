@@ -20,19 +20,30 @@
 //! stale drops, evictions) inside [`CacheStats`]. Custom tier stacks plug
 //! in via [`ArtifactCache::with_tiers`].
 //!
-//! # Hashed keys, exact hits
+//! # Content-addressed keys
 //!
-//! Stage artifacts are keyed by the *complete rendered inputs* of the stage
-//! (source text, machine description, profile fingerprint, …). The memory
-//! tier indexes entries by a 64-bit FNV-1a hash and keeps the full key
-//! alongside each entry: a lookup first matches the hash, then verifies the
-//! stored key byte-for-byte, so a hash collision degrades to a bucket scan
-//! — never to a wrong artifact. (Tests can force the degenerate all-collide
-//! case through [`CacheConfig::hash_mask`].) The disk tier stores each
-//! entry with a self-describing header (magic, [`FORMAT_VERSION`], stage
-//! kind, **full key**, payload checksum) and re-verifies all of it on load,
-//! so a filename collision, a stale format or plain file corruption
-//! silently degrades to a recompute — never to a wrong artifact.
+//! Every key is a 128-bit [`ArtifactId`] (SipHash-2-4 under a fixed key,
+//! hand-rolled so it is stable across builds). An artifact's own ID is the
+//! hash of its codec payload, computed once when the payload is first
+//! encoded and then carried with it: the memory tier stores it beside the
+//! entry, the disk tier in the entry header, so a hit re-hashes nothing. A
+//! stage key is the hash of the stage tag, the IDs of the stage's input
+//! artifacts and its options (see [`crate::pipeline`]), so probing costs
+//! the same whatever the size of the artifacts behind it.
+//!
+//! The trade-off: keys are no longer compared byte for byte, so two
+//! distinct inputs with the same 128-bit key would alias. That is now
+//! probabilistic rather than detected — about n²/2¹²⁹ for n stored keys,
+//! below 10⁻²⁰ for a billion entries. An ID names the stage *inputs*, not
+//! the code that turns them into an artifact: a change to any artifact
+//! codec or to a stage's semantics still requires a [`FORMAT_VERSION`]
+//! bump (disk) or a new process (memory).
+//!
+//! The disk tier stores each entry with a self-describing header (magic,
+//! [`FORMAT_VERSION`], stage kind, stage key, payload ID, payload
+//! checksum) and re-verifies it on load, so a renamed file, a stale format
+//! or plain file corruption silently degrades to a recompute — never to a
+//! wrong artifact.
 //!
 //! # Artifacts travel as versioned bytes
 //!
@@ -43,11 +54,13 @@
 //! the counters in [`CacheStats`] can tell them apart.
 
 pub mod disk;
-mod entry;
+pub mod entry;
+mod id;
 pub mod mem;
 
 pub use disk::DiskStore;
-pub use entry::FORMAT_VERSION;
+pub use entry::{EntryError, FORMAT_VERSION};
+pub use id::ArtifactId;
 pub use mem::MemoryStore;
 
 use crate::pipeline::ToolchainError;
@@ -125,11 +138,6 @@ pub struct CacheConfig {
     /// Maximum resident artifact bytes in the memory tier before LRU
     /// eviction kicks in.
     pub byte_budget: u64,
-    /// Mask applied to the memory tier's 64-bit key hash. `!0` (the
-    /// default) keeps the full hash; tests set narrower masks (down to `0`)
-    /// to force bucket collisions and exercise the stored-key fallback
-    /// path.
-    pub hash_mask: u64,
     /// Optional persistent disk tier. `None` by default: only
     /// [`Session::builder`](crate::session::Session::builder) consults
     /// `ASIP_CACHE_DIR` (via [`default_cache_dir`]), so bare
@@ -143,7 +151,6 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             byte_budget: default_cache_bytes(),
-            hash_mask: !0,
             disk: None,
         }
     }
@@ -167,18 +174,6 @@ pub enum StageKind {
 impl StageKind {
     /// Every stage, in pipeline order.
     pub const ALL: [StageKind; 5] = [
-        StageKind::Parse,
-        StageKind::Optimize,
-        StageKind::Profile,
-        StageKind::Compile,
-        StageKind::Simulate,
-    ];
-
-    /// The cacheable stages. Since the Simulate stage became memoized
-    /// (engines are deterministic and keys cover artifact + options +
-    /// inputs), this is every stage; kept distinct from [`StageKind::ALL`]
-    /// for readability at call sites that mean "what the cache stores".
-    pub const CACHEABLE: [StageKind; 5] = [
         StageKind::Parse,
         StageKind::Optimize,
         StageKind::Profile,
@@ -365,24 +360,9 @@ impl StageTimes {
     }
 }
 
-/// 64-bit FNV-1a over `key`, from an arbitrary basis (`seed`). The memory
-/// tier hashes with the standard basis; the disk tier derives its file
-/// names from two independently-seeded hashes.
-pub(crate) fn fnv1a64_seeded(key: &str, seed: u64) -> u64 {
-    let mut h: u64 = seed;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Standard FNV-1a offset basis.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// 64-bit FNV-1a over a byte slice (entry checksums).
+/// 64-bit FNV-1a over a byte slice (disk entry checksums).
 pub(crate) fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = FNV_BASIS;
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -391,12 +371,12 @@ pub(crate) fn fnv1a64_bytes(bytes: &[u8]) -> u64 {
 }
 
 /// One tier of the artifact cache: an opaque byte store keyed by
-/// (stage, full rendered key).
+/// (stage, stage key), holding each payload with its [`ArtifactId`].
 ///
 /// Implementations **own verification**: `load` must only return a payload
-/// that was stored under exactly this (stage, key) pair — via an exact
-/// stored-key comparison ([`MemoryStore`]) or a self-describing entry
-/// header ([`DiskStore`]). Anything unverifiable is dropped (counted in
+/// that was stored under exactly this (stage, key) pair — by construction
+/// ([`MemoryStore`]) or via a self-describing entry header
+/// ([`DiskStore`]). Anything unverifiable is dropped (counted in
 /// [`TierStats::stale_drops`]) and reported as a miss, so corruption can
 /// only ever cost a recompute. All methods are infallible by contract: a
 /// tier that cannot serve (I/O errors, missing directory) behaves as
@@ -409,17 +389,19 @@ pub trait CacheStore: Send + Sync + fmt::Debug {
     /// Short tier name for stats and summaries (`"mem"`, `"disk"`, …).
     fn label(&self) -> &'static str;
 
-    /// Look up the payload stored for (stage, key); `None` on miss.
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>>;
+    /// Look up the payload stored for (stage, key) with its ID; `None` on
+    /// miss.
+    fn load(&self, stage: StageKind, key: ArtifactId) -> Option<(ArtifactId, Vec<u8>)>;
 
-    /// Store a payload for (stage, key). An entry already present for the
-    /// same key may be kept unchanged (payloads are deterministic encodings
-    /// of deterministic artifacts, so both copies are identical).
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]);
+    /// Store a payload whose ID is `id` for (stage, key). An entry already
+    /// present for the same key may be kept unchanged (payloads are
+    /// deterministic encodings of deterministic artifacts, so both copies
+    /// are identical).
+    fn store(&self, stage: StageKind, key: ArtifactId, id: ArtifactId, payload: &[u8]);
 
     /// Drop the entry for (stage, key), counting a stale drop (called when
     /// a loaded payload fails to decode).
-    fn invalidate(&self, stage: StageKind, key: &str);
+    fn invalidate(&self, stage: StageKind, key: ArtifactId);
 
     /// Drop every entry and reset the tier's counters.
     fn clear(&self);
@@ -527,7 +509,7 @@ pub struct ArtifactCache {
     /// (`BlockVliw`/`BlockScalar`) share no trait; process-local
     /// only (not a [`CacheStore`] tier — the forms are not serializable,
     /// and rebuilding them is microseconds).
-    prepared: Mutex<HashMap<String, Arc<dyn Any + Send + Sync>>>,
+    prepared: Mutex<HashMap<ArtifactId, Arc<dyn Any + Send + Sync>>>,
     decode_hits: AtomicU64,
     decode_misses: AtomicU64,
 }
@@ -560,10 +542,8 @@ impl ArtifactCache {
     /// tier 0, plus a [`DiskStore`] tier 1 when [`CacheConfig::disk`] is
     /// set.
     pub fn with_config(config: CacheConfig) -> ArtifactCache {
-        let mut stores: Vec<Arc<dyn CacheStore>> = vec![Arc::new(MemoryStore::new(
-            config.byte_budget,
-            config.hash_mask,
-        ))];
+        let mut stores: Vec<Arc<dyn CacheStore>> =
+            vec![Arc::new(MemoryStore::new(config.byte_budget))];
         if let Some(d) = &config.disk {
             stores.push(Arc::new(DiskStore::open(d.clone())));
         }
@@ -687,7 +667,7 @@ impl ArtifactCache {
     /// `key` — a validated, block-compiled program ready to run. Counted
     /// in [`CacheStats::decode`]. `build` runs outside the lock: a racing
     /// duplicate preparation is tolerated (both copies are equivalent;
-    /// last insert wins). Keys must render everything the preparation
+    /// last insert wins). Keys must cover everything the preparation
     /// reads — target flavor, machine tables, program — so distinct
     /// preparations can never alias.
     ///
@@ -696,7 +676,7 @@ impl ArtifactCache {
     /// Whatever `build` returns (typically program validation failure).
     pub fn get_or_prepare<T: Any + Send + Sync>(
         &self,
-        key: String,
+        key: ArtifactId,
         build: impl FnOnce() -> Result<T, ToolchainError>,
     ) -> Result<Arc<T>, ToolchainError> {
         if let Some(any) = self.prepared.lock().unwrap().get(&key) {
@@ -737,7 +717,9 @@ impl ArtifactCache {
     }
 
     /// Look up `key` for `stage` through the tier stack, computing and
-    /// writing through on a full miss.
+    /// writing through on a full miss. Returns the artifact with its
+    /// [`ArtifactId`]: the stored one on a hit, the hash of the fresh
+    /// encoding on a miss.
     ///
     /// A hit in a colder tier is promoted into every hotter tier; a
     /// payload that fails to decode is invalidated in the tier that served
@@ -750,9 +732,9 @@ impl ArtifactCache {
     pub(crate) fn get_or_compute<V: Codec>(
         &self,
         stage: StageKind,
-        key: String,
+        key: ArtifactId,
         compute: impl FnOnce(&mut StageTimer) -> Result<V, ToolchainError>,
-    ) -> Result<V, ToolchainError> {
+    ) -> Result<(V, ArtifactId), ToolchainError> {
         // Symmetric timing: the frame measures this call's *entire* wall
         // time (hit or miss, probe and write-through included), net of
         // nested stage calls — see STAGE_SELF_NS.
@@ -766,19 +748,19 @@ impl ArtifactCache {
     fn probe_or_compute<V: Codec>(
         &self,
         stage: StageKind,
-        key: String,
+        key: ArtifactId,
         compute: impl FnOnce(&mut StageTimer) -> Result<V, ToolchainError>,
         mut span: asip_obs::Span,
-    ) -> Result<V, ToolchainError> {
+    ) -> Result<(V, ArtifactId), ToolchainError> {
         for (i, store) in self.stores.iter().enumerate() {
             let obs = &self.tier_obs[i];
             obs.loads.add(1);
             let payload = {
                 let mut tier_span = asip_obs::span("cache", obs.label);
                 tier_span.note("load");
-                store.load(stage, &key)
+                store.load(stage, key)
             };
-            let Some(payload) = payload else {
+            let Some((id, payload)) = payload else {
                 continue;
             };
             match V::decode_all(&payload) {
@@ -789,11 +771,11 @@ impl ArtifactCache {
                         promote.stores.add(1);
                         let mut tier_span = asip_obs::span("cache", promote.label);
                         tier_span.note("store");
-                        hotter.store(stage, &key, &payload);
+                        hotter.store(stage, key, id, &payload);
                     }
                     self.hits[stage as usize].fetch_add(1, Ordering::Relaxed);
                     span.note("hit");
-                    return Ok(v);
+                    return Ok((v, id));
                 }
                 // Verified container, undecodable payload (e.g. encoded by
                 // a build with different tag assignments): drop and fall
@@ -801,7 +783,7 @@ impl ArtifactCache {
                 Err(_) => {
                     let mut tier_span = asip_obs::span("cache", obs.label);
                     tier_span.note("stale-drop");
-                    store.invalidate(stage, &key);
+                    store.invalidate(stage, key);
                 }
             }
         }
@@ -811,14 +793,15 @@ impl ArtifactCache {
         let v = compute(&mut timer)?;
         self.stage_ns[stage as usize].fetch_add(timer.ns, Ordering::Relaxed);
         let payload = v.encode_to_vec();
+        let id = ArtifactId::of_bytes(&payload);
         for (j, store) in self.stores.iter().enumerate() {
             let tier = &self.tier_obs[j];
             tier.stores.add(1);
             let mut tier_span = asip_obs::span("cache", tier.label);
             tier_span.note("store");
-            store.store(stage, &key, &payload);
+            store.store(stage, key, id, &payload);
         }
-        Ok(v)
+        Ok((v, id))
     }
 }
 
@@ -870,30 +853,37 @@ mod tests {
         asip_tinyc::compile(src).unwrap()
     }
 
-    fn bare(budget: u64, mask: u64) -> ArtifactCache {
+    fn bare(budget: u64) -> ArtifactCache {
         // Memory tier only: unit tests here must not pick up ASIP_CACHE_DIR.
-        let config = CacheConfig {
+        ArtifactCache::with_config(CacheConfig {
             byte_budget: budget,
-            hash_mask: mask,
             disk: None,
-        };
-        ArtifactCache::with_config(config)
-    }
-
-    fn store(cache: &ArtifactCache, key: &str, m: &Module) -> Result<Module, ToolchainError> {
-        cache.get_or_compute(StageKind::Parse, key.to_string(), |t| {
-            Ok(t.time(|| m.clone()))
         })
     }
 
+    fn key(name: &str) -> ArtifactId {
+        ArtifactId::of_bytes(name.as_bytes())
+    }
+
+    fn store(cache: &ArtifactCache, name: &str, m: &Module) -> Result<Module, ToolchainError> {
+        let (out, id) =
+            cache.get_or_compute(StageKind::Parse, key(name), |t| Ok(t.time(|| m.clone())))?;
+        assert_eq!(
+            id,
+            ArtifactId::of(&out),
+            "an artifact's ID hashes its payload"
+        );
+        Ok(out)
+    }
+
     /// Payload + bookkeeping bytes one entry occupies in the memory tier.
-    fn entry_bytes(key: &str, m: &Module) -> u64 {
-        key.len() as u64 + m.encode_to_vec().len() as u64 + ENTRY_OVERHEAD
+    fn entry_bytes(m: &Module) -> u64 {
+        m.encode_to_vec().len() as u64 + ENTRY_OVERHEAD
     }
 
     #[test]
     fn hit_returns_identical_artifact() {
-        let cache = bare(u64::MAX, !0);
+        let cache = bare(u64::MAX);
         let m = module("void main(int a) { emit(a + 1); }");
         let first = store(&cache, "k", &m).unwrap();
         let second = store(&cache, "k", &m).unwrap();
@@ -911,30 +901,11 @@ mod tests {
     }
 
     #[test]
-    fn forced_collisions_never_alias() {
-        // hash_mask 0: every key lands in bucket 0; only the stored-key
-        // comparison separates artifacts.
-        let cache = bare(u64::MAX, 0);
-        let a = module("void main(int a) { emit(a + 1); }");
-        let b = module("void main(int a) { emit(a - 1); }");
-        store(&cache, "ka", &a).unwrap();
-        store(&cache, "kb", &b).unwrap();
-        let back_a = store(&cache, "ka", &a).unwrap();
-        let back_b = store(&cache, "kb", &b).unwrap();
-        assert_eq!(back_a, a);
-        assert_eq!(back_b, b);
-        let s = cache.stats();
-        assert_eq!(s.parse.misses, 2, "{s}");
-        assert_eq!(s.parse.hits, 2, "{s}");
-        assert_eq!(cache.len(), [2, 0, 0, 0, 0]);
-    }
-
-    #[test]
     fn byte_budget_evicts_lru_first() {
         let m = module("void main(int a) { emit(a); }");
-        let bytes = entry_bytes("k1", &m) + 2;
+        let bytes = entry_bytes(&m) + 2;
         // Room for exactly two entries.
-        let cache = bare(2 * bytes, !0);
+        let cache = bare(2 * bytes);
         store(&cache, "k1", &m).unwrap();
         store(&cache, "k2", &m).unwrap();
         assert_eq!(cache.stats().evictions, 0);
@@ -955,15 +926,15 @@ mod tests {
     #[test]
     fn oversized_artifact_is_not_admitted_and_does_not_flush() {
         let small = module("void main(int a) { emit(a); }");
-        let unit = entry_bytes("k1", &small) + 2;
-        let cache = bare(3 * unit, !0);
+        let unit = entry_bytes(&small) + 2;
+        let cache = bare(3 * unit);
         store(&cache, "k1", &small).unwrap();
         store(&cache, "k2", &small).unwrap();
         // Larger than the whole budget: returned to the caller but never
         // retained, and the resident entries stay hot.
         let mut big = module("int g[4096]; void main(int a) { emit(g[a]); }");
         big.globals[0].init = vec![7; 4096]; // make the encoding genuinely big
-        assert!(entry_bytes("big", &big) > cache.byte_budget());
+        assert!(entry_bytes(&big) > cache.byte_budget());
         let back = store(&cache, "big", &big).unwrap();
         assert_eq!(back, big);
         assert_eq!(cache.stats().evictions, 1, "oversized counts as evicted");
@@ -981,7 +952,7 @@ mod tests {
 
     #[test]
     fn zero_budget_disables_retention_but_stays_correct() {
-        let cache = bare(0, !0);
+        let cache = bare(0);
         let m = module("void main(int a) { emit(a * 2); }");
         for _ in 0..3 {
             let back = store(&cache, "k", &m).unwrap();
@@ -997,7 +968,7 @@ mod tests {
 
     #[test]
     fn clear_resets_budget_accounting() {
-        let cache = bare(u64::MAX, !0);
+        let cache = bare(u64::MAX);
         let m = module("void main(int a) { emit(a); }");
         store(&cache, "k", &m).unwrap();
         assert!(cache.resident_bytes() > 0);
@@ -1006,11 +977,14 @@ mod tests {
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
+    /// One recorded entry: (stage, key, payload ID, payload).
+    type Stored = (StageKind, ArtifactId, ArtifactId, Vec<u8>);
+
     /// A custom tier that records every call — proves the tier stack is
     /// genuinely pluggable and pins the read-through/write-through protocol.
     #[derive(Debug, Default)]
     struct TraceStore {
-        entries: Mutex<Vec<(StageKind, String, Vec<u8>)>>,
+        entries: Mutex<Vec<Stored>>,
         hits: AtomicU64,
         loads: AtomicU64,
         stores: AtomicU64,
@@ -1021,30 +995,30 @@ mod tests {
             "trace"
         }
 
-        fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+        fn load(&self, stage: StageKind, key: ArtifactId) -> Option<(ArtifactId, Vec<u8>)> {
             self.loads.fetch_add(1, Ordering::Relaxed);
             let found = self
                 .entries
                 .lock()
                 .unwrap()
                 .iter()
-                .find(|(s, k, _)| *s == stage && k == key)
-                .map(|(_, _, p)| p.clone());
+                .find(|(s, k, _, _)| *s == stage && *k == key)
+                .map(|(_, _, id, p)| (*id, p.clone()));
             if found.is_some() {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
             found
         }
 
-        fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
+        fn store(&self, stage: StageKind, key: ArtifactId, id: ArtifactId, payload: &[u8]) {
             self.stores.fetch_add(1, Ordering::Relaxed);
             self.entries
                 .lock()
                 .unwrap()
-                .push((stage, key.to_string(), payload.to_vec()));
+                .push((stage, key, id, payload.to_vec()));
         }
 
-        fn invalidate(&self, _stage: StageKind, _key: &str) {}
+        fn invalidate(&self, _stage: StageKind, _key: ArtifactId) {}
 
         fn clear(&self) {
             self.entries.lock().unwrap().clear();
@@ -1061,7 +1035,7 @@ mod tests {
 
         fn stage_entries(&self) -> [u64; 5] {
             let mut out = [0u64; 5];
-            for (s, _, _) in self.entries.lock().unwrap().iter() {
+            for (s, _, _, _) in self.entries.lock().unwrap().iter() {
                 out[*s as usize] += 1;
             }
             out
@@ -1071,10 +1045,9 @@ mod tests {
     #[test]
     fn custom_tier_sees_write_through_and_serves_read_through() {
         let trace = Arc::new(TraceStore::default());
-        let mem: Arc<dyn CacheStore> = Arc::new(MemoryStore::new(u64::MAX, !0));
+        let mem: Arc<dyn CacheStore> = Arc::new(MemoryStore::new(u64::MAX));
         let config = CacheConfig {
             byte_budget: u64::MAX,
-            hash_mask: !0,
             disk: None,
         };
         let cache = ArtifactCache::with_tiers(config, vec![mem, trace.clone()]);
@@ -1093,10 +1066,9 @@ mod tests {
         let cache2 = ArtifactCache::with_tiers(
             CacheConfig {
                 byte_budget: u64::MAX,
-                hash_mask: !0,
                 disk: None,
             },
-            vec![Arc::new(MemoryStore::new(u64::MAX, !0)), trace.clone()],
+            vec![Arc::new(MemoryStore::new(u64::MAX)), trace.clone()],
         );
         let back = store(&cache2, "k", &m).unwrap();
         assert_eq!(back, m);
@@ -1121,11 +1093,11 @@ mod tests {
             fn label(&self) -> &'static str {
                 "garbage"
             }
-            fn load(&self, _stage: StageKind, _key: &str) -> Option<Vec<u8>> {
-                Some(vec![0xff, 0xff, 0xff])
+            fn load(&self, _stage: StageKind, key: ArtifactId) -> Option<(ArtifactId, Vec<u8>)> {
+                Some((key, vec![0xff, 0xff, 0xff]))
             }
-            fn store(&self, _stage: StageKind, _key: &str, _payload: &[u8]) {}
-            fn invalidate(&self, _stage: StageKind, _key: &str) {
+            fn store(&self, _: StageKind, _: ArtifactId, _: ArtifactId, _: &[u8]) {}
+            fn invalidate(&self, _stage: StageKind, _key: ArtifactId) {
                 self.invalidated.fetch_add(1, Ordering::Relaxed);
             }
             fn clear(&self) {}
@@ -1141,7 +1113,6 @@ mod tests {
         let cache = ArtifactCache::with_tiers(
             CacheConfig {
                 byte_budget: u64::MAX,
-                hash_mask: !0,
                 disk: None,
             },
             vec![garbage.clone()],

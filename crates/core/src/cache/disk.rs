@@ -4,19 +4,20 @@
 //!
 //! ```text
 //! <cache_dir>/
-//!   parse/      <h1><h2>.art     one file per entry; the name is two
-//!   optimize/   …                independently-seeded 64-bit FNV-1a
-//!   profile/    …                hashes of the full stage key (128 bits
-//!   compile/    …                of name space)
+//!   parse/      <key>.art        one file per entry, named by the
+//!   optimize/   …                32-hex-digit stage key
+//!   profile/    …
+//!   compile/    …
+//!   simulate/   …
 //! ```
 //!
 //! Each `.art` file is a versioned, self-describing container (the
-//! `entry` module): magic, format version, stage kind, the **full
-//! stage key**, the artifact payload, and a trailing checksum. A load
-//! re-verifies all of it, so a file-name collision, a renamed or truncated
-//! file, garbage bytes or a stale format version can never surface a wrong
-//! artifact — each is deleted, counted in [`TierStats::stale_drops`], and
-//! silently recomputed.
+//! [`entry`](super::entry) module): magic, format version, stage kind, the
+//! stage key, the payload's [`ArtifactId`], the payload, and a trailing
+//! checksum. A load re-verifies the header and checksum, so a renamed or
+//! truncated file, garbage bytes or a stale format version can never
+//! surface a wrong artifact — each is deleted, counted in
+//! [`TierStats::stale_drops`], and silently recomputed.
 //!
 //! # Eviction: age + size
 //!
@@ -35,15 +36,12 @@
 //! directory only ever observe complete entries.
 
 use super::entry::{decode_entry, encode_entry};
-use super::{fnv1a64_seeded, CacheStore, DiskTierConfig, StageKind, TierStats, FNV_BASIS};
+use super::{ArtifactId, CacheStore, DiskTierConfig, StageKind, TierStats};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, SystemTime};
-
-/// Second, independent FNV-1a basis for the file-name hash pair.
-const FNV_BASIS_2: u64 = FNV_BASIS ^ 0x9e37_79b9_7f4a_7c15;
 
 /// Observability mirrors of the retention counters (the authoritative
 /// values stay in [`TierStats`]; these feed the metrics exposition).
@@ -85,7 +83,7 @@ impl DiskStore {
     /// oldest-first down to `config.byte_budget`. All I/O failures leave
     /// an inert store that misses on every load.
     pub fn open(config: DiskTierConfig) -> DiskStore {
-        for stage in StageKind::CACHEABLE {
+        for stage in StageKind::ALL {
             let _ = fs::create_dir_all(config.dir.join(stage.name()));
         }
         let store = DiskStore {
@@ -107,19 +105,18 @@ impl DiskStore {
         &self.config.dir
     }
 
-    fn path_for(&self, stage: StageKind, key: &str) -> PathBuf {
-        let h1 = fnv1a64_seeded(key, FNV_BASIS);
-        let h2 = fnv1a64_seeded(key, FNV_BASIS_2);
+    /// The entry file for (stage, key).
+    fn path_for(&self, stage: StageKind, key: ArtifactId) -> PathBuf {
         self.config
             .dir
             .join(stage.name())
-            .join(format!("{h1:016x}{h2:016x}.art"))
+            .join(format!("{key}.art"))
     }
 
     /// Every entry file with its byte size and modification time.
     fn scan(&self) -> Vec<(PathBuf, u64, SystemTime)> {
         let mut out = Vec::new();
-        for stage in StageKind::CACHEABLE {
+        for stage in StageKind::ALL {
             let Ok(dir) = fs::read_dir(self.config.dir.join(stage.name())) else {
                 continue;
             };
@@ -231,7 +228,7 @@ impl CacheStore for DiskStore {
         "disk"
     }
 
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+    fn load(&self, stage: StageKind, key: ArtifactId) -> Option<(ArtifactId, Vec<u8>)> {
         self.loads.fetch_add(1, Ordering::Relaxed);
         let path = self.path_for(stage, key);
         let bytes = match fs::read(&path) {
@@ -239,25 +236,25 @@ impl CacheStore for DiskStore {
             Err(_) => return None, // not found or unreadable: plain miss
         };
         match decode_entry(&bytes, stage, key) {
-            Ok(payload) => {
+            Ok(hit) => {
                 // Re-touch so age eviction approximates LRU. Best-effort.
                 if let Ok(f) = fs::File::options().write(true).open(&path) {
                     let _ = f.set_modified(SystemTime::now());
                 }
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
+                Some(hit)
             }
             Err(_) => {
-                // Truncated, corrupt, stale format, or a key whose file
-                // name collided: drop it and recompute.
+                // Truncated, corrupt, stale format, or a file moved under
+                // another key's name: drop it and recompute.
                 self.drop_stale(&path, bytes.len() as u64);
                 None
             }
         }
     }
 
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
-        let entry = encode_entry(stage, key, payload);
+    fn store(&self, stage: StageKind, key: ArtifactId, id: ArtifactId, payload: &[u8]) {
+        let entry = encode_entry(stage, key, id, payload);
         if entry.len() as u64 > self.config.byte_budget {
             // An entry that can never fit is not persisted at all.
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -295,7 +292,7 @@ impl CacheStore for DiskStore {
         }
     }
 
-    fn invalidate(&self, stage: StageKind, key: &str) {
+    fn invalidate(&self, stage: StageKind, key: ArtifactId) {
         let path = self.path_for(stage, key);
         let len = fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         self.drop_stale(&path, len);
@@ -332,23 +329,32 @@ impl CacheStore for DiskStore {
     }
 
     fn stage_entries(&self) -> [u64; 5] {
-        let mut out = [0u64; 5];
-        for (path, _, _) in self.scan() {
-            if let Some(stage) = StageKind::CACHEABLE.iter().find(|s| {
-                path.parent()
-                    .and_then(|p| p.file_name())
-                    .is_some_and(|d| d == s.name())
-            }) {
-                out[*stage as usize] += 1;
-            }
-        }
-        out
+        StageKind::ALL.map(|stage| {
+            let Ok(dir) = fs::read_dir(self.config.dir.join(stage.name())) else {
+                return 0;
+            };
+            let art = |e: &fs::DirEntry| e.path().extension().is_some_and(|x| x == "art");
+            dir.flatten().filter(art).count() as u64
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn k(name: &str) -> ArtifactId {
+        ArtifactId::of_bytes(name.as_bytes())
+    }
+
+    /// Store `payload` under key `name`, with its real payload ID.
+    fn put(s: &DiskStore, stage: StageKind, name: &str, payload: &[u8]) {
+        s.store(stage, k(name), ArtifactId::of_bytes(payload), payload);
+    }
+
+    fn get(s: &DiskStore, stage: StageKind, name: &str) -> Option<Vec<u8>> {
+        s.load(stage, k(name)).map(|(_, payload)| payload)
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =
@@ -361,18 +367,18 @@ mod tests {
     fn persists_across_store_instances() {
         let dir = tmp_dir("persist");
         let a = DiskStore::open(DiskTierConfig::new(&dir));
-        a.store(StageKind::Parse, "key-1", b"payload-1");
+        put(&a, StageKind::Parse, "key-1", b"payload-1");
         assert_eq!(
-            a.load(StageKind::Parse, "key-1").as_deref(),
+            get(&a, StageKind::Parse, "key-1").as_deref(),
             Some(&b"payload-1"[..])
         );
         drop(a);
         let b = DiskStore::open(DiskTierConfig::new(&dir));
         assert_eq!(
-            b.load(StageKind::Parse, "key-1").as_deref(),
+            get(&b, StageKind::Parse, "key-1").as_deref(),
             Some(&b"payload-1"[..])
         );
-        assert_eq!(b.load(StageKind::Compile, "key-1"), None, "per-stage");
+        assert_eq!(get(&b, StageKind::Compile, "key-1"), None, "per-stage");
         assert_eq!(b.stats().hits, 1);
         assert!(b.stats().resident_bytes > 0);
         let _ = fs::remove_dir_all(&dir);
@@ -382,12 +388,20 @@ mod tests {
     fn renamed_file_fails_key_check_and_is_dropped() {
         let dir = tmp_dir("rename");
         let s = DiskStore::open(DiskTierConfig::new(&dir));
-        s.store(StageKind::Compile, "key-a", b"artifact-a");
+        put(&s, StageKind::Compile, "key-a", b"artifact-a");
         // Masquerade key-a's entry as key-b's.
-        let a = s.path_for(StageKind::Compile, "key-a");
-        let b = s.path_for(StageKind::Compile, "key-b");
+        let a = s.path_for(StageKind::Compile, k("key-a"));
+        let b = s.path_for(StageKind::Compile, k("key-b"));
         fs::rename(&a, &b).unwrap();
-        assert_eq!(s.load(StageKind::Compile, "key-b"), None);
+        assert_eq!(
+            super::super::entry::decode_entry(
+                &fs::read(&b).unwrap(),
+                StageKind::Compile,
+                k("key-b")
+            ),
+            Err(super::super::entry::EntryError::KeyMismatch)
+        );
+        assert_eq!(get(&s, StageKind::Compile, "key-b"), None);
         assert_eq!(s.stats().stale_drops, 1);
         assert!(!b.exists(), "the masquerading file is deleted");
         let _ = fs::remove_dir_all(&dir);
@@ -396,7 +410,7 @@ mod tests {
     #[test]
     fn size_eviction_drops_oldest_first() {
         let dir = tmp_dir("evict");
-        let probe = encode_entry(StageKind::Parse, "k00", b"xxxxxxxx");
+        let probe = encode_entry(StageKind::Parse, k("k00"), k("id"), b"xxxxxxxx");
         let unit = probe.len() as u64;
         let s = DiskStore::open(DiskTierConfig {
             dir: dir.clone(),
@@ -404,7 +418,7 @@ mod tests {
             max_age_secs: None,
         });
         for i in 0..6 {
-            s.store(StageKind::Parse, &format!("k{i:02}"), b"xxxxxxxx");
+            put(&s, StageKind::Parse, &format!("k{i:02}"), b"xxxxxxxx");
             // mtime granularity: space the writes out.
             std::thread::sleep(std::time::Duration::from_millis(20));
         }
@@ -412,8 +426,8 @@ mod tests {
         assert!(t.evictions >= 2, "{t}");
         assert!(t.resident_bytes <= 3 * unit + unit / 2, "{t}");
         // The newest entry survived; the oldest did not.
-        assert!(s.load(StageKind::Parse, "k05").is_some());
-        assert!(s.load(StageKind::Parse, "k00").is_none());
+        assert!(get(&s, StageKind::Parse, "k05").is_some());
+        assert!(get(&s, StageKind::Parse, "k00").is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -421,9 +435,9 @@ mod tests {
     fn max_age_purges_at_open() {
         let dir = tmp_dir("age");
         let s = DiskStore::open(DiskTierConfig::new(&dir));
-        s.store(StageKind::Parse, "old", b"payload");
+        put(&s, StageKind::Parse, "old", b"payload");
         // Backdate the entry far beyond any cutoff.
-        let path = s.path_for(StageKind::Parse, "old");
+        let path = s.path_for(StageKind::Parse, k("old"));
         let f = fs::File::options().write(true).open(&path).unwrap();
         f.set_modified(SystemTime::UNIX_EPOCH + Duration::from_secs(1))
             .unwrap();
@@ -434,7 +448,7 @@ mod tests {
             byte_budget: DiskTierConfig::new(&dir).byte_budget,
             max_age_secs: Some(3600),
         });
-        assert_eq!(s.load(StageKind::Parse, "old"), None);
+        assert_eq!(get(&s, StageKind::Parse, "old"), None);
         assert_eq!(s.stats().evictions, 1);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -477,8 +491,8 @@ mod tests {
                     scope.spawn(move || {
                         for i in 0..50 {
                             let v = salt + t * 100 + i;
-                            store.store(StageKind::Simulate, "hot-key", &payload_for(v));
-                            if let Some(got) = store.load(StageKind::Simulate, "hot-key") {
+                            put(store, StageKind::Simulate, "hot-key", &payload_for(v));
+                            if let Some(got) = get(store, StageKind::Simulate, "hot-key") {
                                 assert!(
                                     got.len() >= 4096 && got.len() < 4103,
                                     "unexpected payload shape: {} bytes",
@@ -504,8 +518,8 @@ mod tests {
         let file = std::env::temp_dir().join(format!("asip-notdir-{}", std::process::id()));
         fs::write(&file, b"x").unwrap();
         let s = DiskStore::open(DiskTierConfig::new(file.join("sub")));
-        s.store(StageKind::Parse, "k", b"payload");
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
+        put(&s, StageKind::Parse, "k", b"payload");
+        assert_eq!(get(&s, StageKind::Parse, "k"), None);
         let _ = fs::remove_file(&file);
     }
 }

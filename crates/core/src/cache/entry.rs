@@ -4,27 +4,30 @@
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! +--------+---------+-------+--------------+------------------+----------+
-//! | magic  | version | stage | key          | payload          | checksum |
-//! | 8 B    | u32     | u8    | u32 + bytes  | u32 + bytes      | u64      |
-//! +--------+---------+-------+--------------+------------------+----------+
+//! +--------+---------+-------+------+------+-------------+----------+
+//! | magic  | version | stage | key  | id   | payload     | checksum |
+//! | 8 B    | u32     | u8    | 16 B | 16 B | u32 + bytes | u64      |
+//! +--------+---------+-------+------+------+-------------+----------+
 //! ```
 //!
-//! The **full stage key** is stored, not a hash: a load verifies it
-//! byte-for-byte against the requested key, exactly like the memory tier's
-//! stored-key collision check — so two keys whose file names collide can
-//! never serve each other's artifact. The trailing checksum is FNV-1a over
-//! everything before it, catching truncation and bit rot; the version field
-//! retires whole formats at once. Every verification failure maps to an
-//! [`EntryError`] and, at the store layer, to a counted, silent recompute.
+//! `key` is the stage key the entry was stored under (its file name says
+//! the same, but a file can be renamed); a load compares it with the
+//! requested key, so a moved entry reads as [`EntryError::KeyMismatch`].
+//! `id` is the payload's own [`ArtifactId`], stored so a hit hands it on
+//! without re-hashing the payload. The trailing checksum is FNV-1a over
+//! everything before it, catching truncation and bit rot; the version
+//! field retires whole formats at once. Every verification failure maps to
+//! an [`EntryError`] and, at the store layer, to a counted, silent
+//! recompute.
 
-use super::{fnv1a64_bytes, StageKind};
-use asip_isa::codec::{CodecError, Reader, Writer};
+use super::{fnv1a64_bytes, ArtifactId, StageKind};
+use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 
 /// Version stamp of the persisted artifact format. Bump whenever any
-/// artifact [`Codec`](asip_isa::codec::Codec) or this container changes
-/// incompatibly; old entries then read as stale and are recomputed.
-pub const FORMAT_VERSION: u32 = 1;
+/// artifact [`Codec`] or this container changes incompatibly; old entries
+/// then read as stale and are recomputed. Version 1 stored the full
+/// rendered stage key; version 2 stores the 16-byte key and payload IDs.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every entry file.
 const MAGIC: [u8; 8] = *b"ASIPART\0";
@@ -34,14 +37,14 @@ const MAGIC: [u8; 8] = *b"ASIPART\0";
 /// distinction keeps tests honest about *which* defense caught a corruption.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EntryError {
-    /// The file does not open with [`MAGIC`].
+    /// The file does not open with the entry magic.
     BadMagic,
     /// The file's format version is not [`FORMAT_VERSION`].
     BadVersion(u32),
     /// The entry was written for a different pipeline stage.
     StageMismatch,
-    /// The stored key differs from the requested key (file-name collision
-    /// or a renamed file).
+    /// The stored key differs from the requested key (a renamed or moved
+    /// file).
     KeyMismatch,
     /// The trailing checksum does not match the content.
     BadChecksum,
@@ -55,15 +58,22 @@ impl From<CodecError> for EntryError {
     }
 }
 
-/// Wrap `payload` in the versioned container for (stage, key).
-pub(crate) fn encode_entry(stage: StageKind, key: &str, payload: &[u8]) -> Vec<u8> {
+/// Wrap `payload` (whose ID is `id`) in the versioned container for
+/// (stage, key).
+pub(crate) fn encode_entry(
+    stage: StageKind,
+    key: ArtifactId,
+    id: ArtifactId,
+    payload: &[u8],
+) -> Vec<u8> {
     let mut w = Writer::new();
     for b in MAGIC {
         w.put_u8(b);
     }
     w.put_u32(FORMAT_VERSION);
     w.put_u8(stage as u8);
-    w.put_str(key);
+    key.encode(&mut w);
+    id.encode(&mut w);
     w.put_bytes(payload);
     let mut bytes = w.into_bytes();
     let checksum = fnv1a64_bytes(&bytes);
@@ -71,13 +81,17 @@ pub(crate) fn encode_entry(stage: StageKind, key: &str, payload: &[u8]) -> Vec<u
     bytes
 }
 
-/// Unwrap an entry, verifying magic, version, stage, full key and checksum.
-/// Returns the artifact payload bytes.
-pub(crate) fn decode_entry(
+/// Unwrap the entry file `bytes`, verifying magic, version, stage, key and
+/// checksum. Returns the payload's ID and bytes.
+///
+/// # Errors
+///
+/// The first defense that rejects the entry, as an [`EntryError`].
+pub fn decode_entry(
     bytes: &[u8],
     stage: StageKind,
-    key: &str,
-) -> Result<Vec<u8>, EntryError> {
+    key: ArtifactId,
+) -> Result<(ArtifactId, Vec<u8>), EntryError> {
     if bytes.len() < 8 + MAGIC.len() {
         return Err(EntryError::Malformed(CodecError::Truncated));
     }
@@ -94,9 +108,10 @@ pub(crate) fn decode_entry(
     if r.get_u8()? != stage as u8 {
         return Err(EntryError::StageMismatch);
     }
-    if r.get_str()? != key {
+    if ArtifactId::decode(&mut r)? != key {
         return Err(EntryError::KeyMismatch);
     }
+    let id = ArtifactId::decode(&mut r)?;
     let payload = r.get_bytes()?;
     r.finish()?;
     // Checked last so the error diagnoses *what* mismatched when the
@@ -104,7 +119,7 @@ pub(crate) fn decode_entry(
     if fnv1a64_bytes(content) != checksum {
         return Err(EntryError::BadChecksum);
     }
-    Ok(payload)
+    Ok((id, payload))
 }
 
 #[cfg(test)]
@@ -114,48 +129,44 @@ mod tests {
     #[test]
     fn roundtrip_and_every_defense_fires() {
         let stage = StageKind::Compile;
+        let key = ArtifactId::of_bytes(b"the key");
         let payload = b"artifact bytes".to_vec();
-        let good = encode_entry(stage, "the/full:key", &payload);
-        assert_eq!(decode_entry(&good, stage, "the/full:key"), Ok(payload));
+        let id = ArtifactId::of_bytes(&payload);
+        let good = encode_entry(stage, key, id, &payload);
+        assert_eq!(decode_entry(&good, stage, key), Ok((id, payload)));
 
         // Truncation.
         assert!(matches!(
-            decode_entry(&good[..good.len() / 2], stage, "the/full:key"),
+            decode_entry(&good[..good.len() / 2], stage, key),
             Err(EntryError::Malformed(_) | EntryError::BadChecksum)
         ));
         // Garbage.
-        assert!(decode_entry(&[0u8; 64], stage, "the/full:key").is_err());
+        assert!(decode_entry(&[0u8; 64], stage, key).is_err());
         // Magic.
         let mut bad = good.clone();
         bad[0] ^= 0xff;
-        assert_eq!(
-            decode_entry(&bad, stage, "the/full:key"),
-            Err(EntryError::BadMagic)
-        );
+        assert_eq!(decode_entry(&bad, stage, key), Err(EntryError::BadMagic));
         // Version.
         let mut bad = good.clone();
         bad[8] = 0xee;
         assert!(matches!(
-            decode_entry(&bad, stage, "the/full:key"),
+            decode_entry(&bad, stage, key),
             Err(EntryError::BadVersion(_))
         ));
         // Stage.
         assert_eq!(
-            decode_entry(&good, StageKind::Parse, "the/full:key"),
+            decode_entry(&good, StageKind::Parse, key),
             Err(EntryError::StageMismatch)
         );
         // Key.
         assert_eq!(
-            decode_entry(&good, stage, "another-key"),
+            decode_entry(&good, stage, ArtifactId::of_bytes(b"another key")),
             Err(EntryError::KeyMismatch)
         );
         // Payload bit flip → checksum.
         let mut bad = good.clone();
         let n = bad.len();
         bad[n - 12] ^= 0x01;
-        assert_eq!(
-            decode_entry(&bad, stage, "the/full:key"),
-            Err(EntryError::BadChecksum)
-        );
+        assert_eq!(decode_entry(&bad, stage, key), Err(EntryError::BadChecksum));
     }
 }

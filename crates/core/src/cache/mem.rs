@@ -1,21 +1,19 @@
 //! Tier 0: the in-process, LRU byte-budgeted [`CacheStore`].
 //!
-//! This is the seed's `ArtifactCache` storage engine refactored behind the
-//! [`CacheStore`] trait: payload bytes indexed by a masked 64-bit FNV-1a
-//! hash of the full key, with the key stored alongside each entry and
-//! compared byte-for-byte on every probe (a hash collision degrades to a
-//! bucket scan, never a wrong artifact), and one global least-recently-used
-//! queue across all cacheable stages enforcing the byte budget. An entry larger
-//! than the whole budget is never admitted — flushing every resident entry
-//! for an artifact that cannot stay would be pure churn — but still counts
-//! as an eviction so the non-retention shows up in [`TierStats`].
+//! Payload bytes (with their [`ArtifactId`]) in one map per stage, keyed
+//! by the 128-bit stage key, and one global least-recently-used queue
+//! across all stages enforcing the byte budget. An entry larger than the
+//! whole budget is never admitted — flushing every resident entry for an
+//! artifact that cannot stay would be pure churn — but still counts as an
+//! eviction so the non-retention shows up in [`TierStats`].
 
-use super::{fnv1a64_seeded, CacheStore, StageKind, TierStats, FNV_BASIS};
+use super::{ArtifactId, CacheStore, StageKind, TierStats};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Fixed per-entry bookkeeping overhead added to every size estimate.
+/// Fixed per-entry bookkeeping added to every size estimate: the key and
+/// payload IDs, the map and queue slots.
 pub(crate) const ENTRY_OVERHEAD: u64 = 96;
 
 /// Observability mirrors of the retention counters (the authoritative
@@ -24,101 +22,41 @@ static OBS_EVICTIONS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.evic
 static OBS_STALE_DROPS: asip_obs::Counter = asip_obs::Counter::new("cache.mem.stale_drops");
 
 struct Entry {
-    /// Full rendered key, compared byte-for-byte on every bucket probe.
-    key: Box<str>,
+    id: ArtifactId,
     payload: Box<[u8]>,
-    id: u64,
+    /// This entry's current slot in [`Inner::lru`].
+    tick: u64,
 }
 
-/// One stage's hash-indexed store. Buckets hold every entry whose masked
-/// hash collides; correctness never depends on hash uniqueness.
-#[derive(Default)]
-struct StageMap {
-    buckets: HashMap<u64, Vec<Entry>>,
-}
-
-impl StageMap {
-    fn find(&self, hash: u64, key: &str) -> Option<&Entry> {
-        self.buckets
-            .get(&hash)?
-            .iter()
-            .find(|e| e.key.as_ref() == key)
-    }
-
-    fn insert(&mut self, hash: u64, entry: Entry) {
-        self.buckets.entry(hash).or_default().push(entry);
-    }
-
-    fn remove_id(&mut self, hash: u64, id: u64) -> Option<Entry> {
-        let bucket = self.buckets.get_mut(&hash)?;
-        let i = bucket.iter().position(|e| e.id == id)?;
-        let e = bucket.swap_remove(i);
-        if bucket.is_empty() {
-            self.buckets.remove(&hash);
-        }
-        Some(e)
-    }
-
-    fn len(&self) -> usize {
-        self.buckets.values().map(Vec::len).sum()
-    }
-}
-
-/// Where an LRU queue entry lives, for typed removal on eviction.
-#[derive(Clone, Copy)]
-struct Loc {
-    stage: usize,
-    hash: u64,
-    id: u64,
-    bytes: u64,
+fn entry_bytes(payload_len: usize) -> u64 {
+    payload_len as u64 + ENTRY_OVERHEAD
 }
 
 #[derive(Default)]
 struct Inner {
-    maps: [StageMap; 5],
-    /// Recency queue: tick → entry location; the first entry is coldest.
-    lru: BTreeMap<u64, Loc>,
-    /// Entry id → its current tick in `lru` (moved on every touch).
-    tick_of: HashMap<u64, u64>,
+    maps: [HashMap<ArtifactId, Entry>; 5],
+    /// Recency queue: tick → (stage, key); the first entry is coldest.
+    lru: BTreeMap<u64, (usize, ArtifactId)>,
     next_tick: u64,
-    next_id: u64,
     resident_bytes: u64,
 }
 
 impl Inner {
-    fn touch(&mut self, id: u64) {
-        if let Some(old) = self.tick_of.get(&id).copied() {
-            if let Some(loc) = self.lru.remove(&old) {
-                let tick = self.next_tick;
-                self.next_tick += 1;
-                self.lru.insert(tick, loc);
-                self.tick_of.insert(id, tick);
-            }
-        }
-    }
-
-    fn remember(&mut self, loc: Loc) {
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.lru.insert(tick, loc);
-        self.tick_of.insert(loc.id, tick);
-        self.resident_bytes += loc.bytes;
-    }
-
-    fn remove(&mut self, loc: Loc) -> bool {
-        self.tick_of.remove(&loc.id);
-        let removed = self.maps[loc.stage].remove_id(loc.hash, loc.id).is_some();
-        self.resident_bytes = self.resident_bytes.saturating_sub(loc.bytes);
-        removed
+    fn remove(&mut self, stage: usize, key: ArtifactId) -> bool {
+        let Some(e) = self.maps[stage].remove(&key) else {
+            return false;
+        };
+        self.lru.remove(&e.tick);
+        self.resident_bytes -= entry_bytes(e.payload.len());
+        true
     }
 
     /// Evict the coldest entry; returns false when the cache is empty.
     fn evict_one(&mut self) -> bool {
-        let Some((tick, loc)) = self.lru.pop_first() else {
+        let Some((_, (stage, key))) = self.lru.pop_first() else {
             return false;
         };
-        debug_assert_eq!(self.tick_of.get(&loc.id), Some(&tick));
-        let removed = self.remove(loc);
+        let removed = self.remove(stage, key);
         debug_assert!(removed, "LRU queue and stage maps must stay in sync");
         true
     }
@@ -127,7 +65,6 @@ impl Inner {
 /// The in-process memory tier. See the [module docs](self).
 pub struct MemoryStore {
     byte_budget: u64,
-    hash_mask: u64,
     inner: Mutex<Inner>,
     hits: AtomicU64,
     loads: AtomicU64,
@@ -137,12 +74,10 @@ pub struct MemoryStore {
 }
 
 impl MemoryStore {
-    /// An empty store bounded to `byte_budget` resident bytes, hashing keys
-    /// under `hash_mask` (use `!0` outside of collision tests).
-    pub fn new(byte_budget: u64, hash_mask: u64) -> MemoryStore {
+    /// An empty store bounded to `byte_budget` resident bytes.
+    pub fn new(byte_budget: u64) -> MemoryStore {
         MemoryStore {
             byte_budget,
-            hash_mask,
             inner: Mutex::new(Inner::default()),
             hits: AtomicU64::new(0),
             loads: AtomicU64::new(0),
@@ -150,21 +85,6 @@ impl MemoryStore {
             stale_drops: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    fn hash(&self, key: &str) -> u64 {
-        fnv1a64_seeded(key, FNV_BASIS) & self.hash_mask
-    }
-
-    fn find_loc(inner: &Inner, stage: StageKind, hash: u64, key: &str) -> Option<Loc> {
-        let e = inner.maps[stage as usize].find(hash, key)?;
-        let bytes = key.len() as u64 + e.payload.len() as u64 + ENTRY_OVERHEAD;
-        Some(Loc {
-            stage: stage as usize,
-            hash,
-            id: e.id,
-            bytes,
-        })
     }
 }
 
@@ -182,30 +102,29 @@ impl CacheStore for MemoryStore {
         "mem"
     }
 
-    fn load(&self, stage: StageKind, key: &str) -> Option<Vec<u8>> {
+    fn load(&self, stage: StageKind, key: ArtifactId) -> Option<(ArtifactId, Vec<u8>)> {
         self.loads.fetch_add(1, Ordering::Relaxed);
-        let hash = self.hash(key);
-        let mut inner = self.inner.lock().unwrap();
-        let found = inner.maps[stage as usize]
-            .find(hash, key)
-            .map(|e| (e.id, e.payload.to_vec()));
-        let (id, payload) = found?;
-        inner.touch(id);
-        drop(inner);
+        let mut guard = self.inner.lock().unwrap();
+        let inner = &mut *guard;
+        let e = inner.maps[stage as usize].get_mut(&key)?;
+        // Touch: move the entry to the hot end of the queue.
+        inner.lru.remove(&e.tick);
+        e.tick = inner.next_tick;
+        inner.next_tick += 1;
+        inner.lru.insert(e.tick, (stage as usize, key));
+        let hit = (e.id, e.payload.to_vec());
+        drop(guard);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(payload)
+        Some(hit)
     }
 
-    fn store(&self, stage: StageKind, key: &str, payload: &[u8]) {
-        let hash = self.hash(key);
-        let bytes = key.len() as u64 + payload.len() as u64 + ENTRY_OVERHEAD;
+    fn store(&self, stage: StageKind, key: ArtifactId, id: ArtifactId, payload: &[u8]) {
+        let bytes = entry_bytes(payload.len());
         let mut inner = self.inner.lock().unwrap();
         // First insert wins: a racing worker (or a promotion racing a
         // write-through) may have stored this key already; the payloads
         // are identical deterministic encodings, so keep the resident one.
-        if let Some(e) = inner.maps[stage as usize].find(hash, key) {
-            let id = e.id;
-            inner.touch(id);
+        if inner.maps[stage as usize].contains_key(&key) {
             return;
         }
         if bytes > self.byte_budget {
@@ -218,22 +137,16 @@ impl CacheStore for MemoryStore {
             return;
         }
         self.stores.fetch_add(1, Ordering::Relaxed);
-        let id = inner.next_id;
-        inner.next_id += 1;
-        inner.maps[stage as usize].insert(
-            hash,
-            Entry {
-                key: key.into(),
-                payload: payload.into(),
-                id,
-            },
-        );
-        inner.remember(Loc {
-            stage: stage as usize,
-            hash,
+        let tick = inner.next_tick;
+        inner.next_tick += 1;
+        let entry = Entry {
             id,
-            bytes,
-        });
+            payload: payload.into(),
+            tick,
+        };
+        inner.maps[stage as usize].insert(key, entry);
+        inner.lru.insert(tick, (stage as usize, key));
+        inner.resident_bytes += bytes;
         let mut evicted = 0u64;
         while inner.resident_bytes > self.byte_budget && inner.evict_one() {
             evicted += 1;
@@ -245,15 +158,8 @@ impl CacheStore for MemoryStore {
         }
     }
 
-    fn invalidate(&self, stage: StageKind, key: &str) {
-        let hash = self.hash(key);
-        let mut inner = self.inner.lock().unwrap();
-        if let Some(loc) = Self::find_loc(&inner, stage, hash, key) {
-            if let Some(tick) = inner.tick_of.get(&loc.id).copied() {
-                inner.lru.remove(&tick);
-            }
-            inner.remove(loc);
-            drop(inner);
+    fn invalidate(&self, stage: StageKind, key: ArtifactId) {
+        if self.inner.lock().unwrap().remove(stage as usize, key) {
             self.stale_drops.fetch_add(1, Ordering::Relaxed);
             OBS_STALE_DROPS.add(1);
         }
@@ -288,11 +194,7 @@ impl CacheStore for MemoryStore {
 
     fn stage_entries(&self) -> [u64; 5] {
         let inner = self.inner.lock().unwrap();
-        let mut out = [0u64; 5];
-        for (i, m) in inner.maps.iter().enumerate() {
-            out[i] = m.len() as u64;
-        }
-        out
+        inner.maps.each_ref().map(|m| m.len() as u64)
     }
 }
 
@@ -302,17 +204,16 @@ mod tests {
 
     #[test]
     fn store_load_and_invalidate() {
-        let s = MemoryStore::new(u64::MAX, !0);
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
-        s.store(StageKind::Parse, "k", b"payload");
-        assert_eq!(
-            s.load(StageKind::Parse, "k").as_deref(),
-            Some(&b"payload"[..])
-        );
+        let s = MemoryStore::new(u64::MAX);
+        let k = ArtifactId::of_bytes(b"k");
+        let id = ArtifactId::of_bytes(b"payload");
+        assert_eq!(s.load(StageKind::Parse, k), None);
+        s.store(StageKind::Parse, k, id, b"payload");
+        assert_eq!(s.load(StageKind::Parse, k), Some((id, b"payload".to_vec())));
         // Same key, different stage: distinct entries.
-        assert_eq!(s.load(StageKind::Compile, "k"), None);
-        s.invalidate(StageKind::Parse, "k");
-        assert_eq!(s.load(StageKind::Parse, "k"), None);
+        assert_eq!(s.load(StageKind::Compile, k), None);
+        s.invalidate(StageKind::Parse, k);
+        assert_eq!(s.load(StageKind::Parse, k), None);
         let t = s.stats();
         assert_eq!(t.stale_drops, 1);
         assert_eq!(t.entries, 0);
@@ -321,9 +222,10 @@ mod tests {
 
     #[test]
     fn first_insert_wins_on_duplicate_store() {
-        let s = MemoryStore::new(u64::MAX, !0);
-        s.store(StageKind::Parse, "k", b"one");
-        s.store(StageKind::Parse, "k", b"one");
+        let s = MemoryStore::new(u64::MAX);
+        let (k, id) = (ArtifactId::of_bytes(b"k"), ArtifactId::of_bytes(b"one"));
+        s.store(StageKind::Parse, k, id, b"one");
+        s.store(StageKind::Parse, k, id, b"one");
         let t = s.stats();
         assert_eq!(t.stores, 1);
         assert_eq!(t.entries, 1);

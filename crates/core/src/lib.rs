@@ -69,8 +69,8 @@ pub mod pipeline;
 pub mod session;
 
 pub use cache::{
-    ArtifactCache, CacheConfig, CacheStats, CacheStore, DiskStore, DiskTierConfig, MemoryStore,
-    StageKind, StageStats, StageTimes, TierStats,
+    ArtifactCache, ArtifactId, CacheConfig, CacheStats, CacheStore, DiskStore, DiskTierConfig,
+    MemoryStore, StageKind, StageStats, StageTimes, TierStats,
 };
 pub use flight::SingleFlight;
 pub use pipeline::{CompiledArtifact, Toolchain, ToolchainError, WorkloadRun};

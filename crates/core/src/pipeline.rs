@@ -24,41 +24,69 @@
 //! simulate on the in-order pipeline model ([`asip_sim::scalar`]). Both
 //! flavors flow through the same stages, caches and error currency.
 //!
-//! The first four stages are **memoized** in an [`ArtifactCache`] shared by
-//! every clone of a [`Toolchain`]: parsing is keyed by source text,
-//! optimization by (source, [`OptConfig`]), profiling by (module, inputs,
-//! args), and compilation by (target kind, module, machine, backend
-//! options, profile) — so the two target flavors can never alias.
-//!
-//! [`Simulate`](StageKind::Simulate) is memoized too: both cycle-level
+//! Every stage is **memoized** in an [`ArtifactCache`] shared by every
+//! clone of a [`Toolchain`], under a fixed-size, content-addressed key (see
+//! [Stage keys](#stage-keys)). Simulate is memoized too: both cycle-level
 //! engines are deterministic functions of (compiled artifact, machine
-//! tables, [`SimOptions`], workload inputs and arguments), which is exactly
-//! what the target-flavored Simulate key renders — so a repeated identical
-//! cell across ISE/DSE sweeps, or a disk-warm rerun of a whole grid, skips
-//! simulation entirely and returns a byte-identical `SimResult`. The
-//! golden-output check runs on every call (hit or miss), outside the
-//! cached computation. The N×M grid ([`crate::nxm`]) and the ISE/DSE
-//! search loops ([`crate::ise`], [`crate::dse`]) therefore stop
+//! tables, [`SimOptions`] limits, workload inputs and arguments) — so a
+//! repeated identical cell across ISE/DSE sweeps, or a disk-warm rerun of
+//! a whole grid, skips simulation entirely and returns a byte-identical
+//! `SimResult`. The golden-output check runs on every call (hit or miss),
+//! outside the cached computation. The N×M grid ([`crate::nxm`]) and the
+//! ISE/DSE search loops ([`crate::ise`], [`crate::dse`]) therefore stop
 //! recompiling identical front halves *and* stop re-measuring identical
 //! cells: evaluating M machines against one workload parses, optimizes and
 //! profiles it once, and re-evaluating any (artifact, machine, inputs)
 //! triple costs a cache probe.
 //!
-//! Cache keys are the full rendered artifact inputs with stored-key
-//! verification in every tier, so a hit can never silently collide. The
-//! cache is **tiered** (see [`crate::cache`]): an LRU byte-budgeted memory
-//! tier, plus an optional persistent disk tier that lets a fresh process
-//! warm-start the whole front half. [`Toolchain::cache_stats`] exposes
-//! per-stage hit/miss and per-tier counters and [`Toolchain::stage_times`]
-//! cumulative per-stage execution time.
+//! # Stage keys
+//!
+//! Keys are 128-bit [`ArtifactId`]s. An artifact's ID is the hash of its
+//! codec payload, computed once when the payload is first encoded and
+//! handed back with every hit; leaf values — the machine, the workload's
+//! inputs plus arguments, a module rewritten by ISE — are hashed from
+//! their codec bytes where they enter. A stage key hashes the stage tag,
+//! the IDs of the stage's inputs and its options:
+//!
+//! | stage    | key                                                              |
+//! |----------|------------------------------------------------------------------|
+//! | Parse    | H(source)                                                        |
+//! | Optimize | H([`OptConfig`], source)                                         |
+//! | Profile  | H(module, inputs)                                                |
+//! | Compile  | H(flavor, module, machine, [`BackendOptions`], profile or none)  |
+//! | Simulate | H(flavor, compiled, machine, `max_cycles`, inputs)               |
+//! | prepare  | H(flavor, machine, compiled)                                     |
+//!
+//! The flavor is the target kind compiled for, so a VLIW and a scalar
+//! artifact of the same inputs never alias. [`Session`] threads the IDs
+//! from stage to stage; the public stage calls here ([`Toolchain::parse`],
+//! [`Toolchain::frontend`], [`Toolchain::profile`],
+//! [`Toolchain::compile_for`], [`Toolchain::run_artifact`]) hash their
+//! arguments instead and derive the very same keys. Two inputs are
+//! deliberately *not* keyed: the [`SimEngine`] choice (every engine
+//! produces bit-identical `SimResult`s, pinned by the differential suites)
+//! and the golden `expected` stream (checked on every call, so a sabotaged
+//! expectation still reports [`ToolchainError::WrongOutput`] against a
+//! cached measurement). See [`crate::cache`] for the collision trade-off.
+//!
+//! The cache is **tiered**: an LRU byte-budgeted memory tier, plus an
+//! optional persistent disk tier that lets a fresh process warm-start.
+//! [`Toolchain::cache_stats`] exposes per-stage hit/miss and per-tier
+//! counters and [`Toolchain::stage_times`] cumulative per-stage execution
+//! time.
+//!
+//! [`Session`]: crate::session::Session
 
-pub use crate::cache::{ArtifactCache, CacheConfig, CacheStats, StageKind, StageStats, StageTimes};
+pub use crate::cache::{
+    ArtifactCache, ArtifactId, CacheConfig, CacheStats, StageKind, StageStats, StageTimes,
+};
+use asip_backend::trace::TraceConfig;
 use asip_backend::{
     compile_module, compile_module_scalar, BackendOptions, BackendStats, CompiledProgram,
     CompiledScalarProgram,
 };
 use asip_ir::interp::{Interp, InterpOptions, Profile};
-use asip_ir::passes::{optimize, OptConfig};
+use asip_ir::passes::{optimize, InlineConfig, OptConfig, UnrollConfig};
 use asip_ir::Module;
 use asip_isa::codec::{Codec, CodecError, Reader, Writer};
 use asip_isa::{MachineDescription, TargetKind};
@@ -138,30 +166,88 @@ impl From<asip_sim::SimError> for ToolchainError {
     }
 }
 
-/// Append `blob` to `key` as lowercase hex and return the result as a
-/// `String` (hex expansion keeps codec-rendered keys valid UTF-8).
-fn hex_expand(mut key: Vec<u8>, blob: &[u8]) -> String {
-    const HEX: &[u8; 16] = b"0123456789abcdef";
-    let at = key.len();
-    key.resize(at + blob.len() * 2, 0);
-    for (pair, &b) in key[at..].chunks_exact_mut(2).zip(blob) {
-        pair[0] = HEX[(b >> 4) as usize];
-        pair[1] = HEX[(b & 15) as usize];
-    }
-    String::from_utf8(key).expect("hex expansion is ASCII")
+/// Tag of the prepared-simulation keys, after the five [`StageKind`] tags.
+const PREPARE_TAG: u8 = 5;
+
+/// H(tag, fields): the shape of every stage key. `tag` is the stage (or
+/// [`PREPARE_TAG`]), so equal fields under different stages never share a
+/// key.
+fn stage_key(tag: u8, fields: impl FnOnce(&mut Writer)) -> ArtifactId {
+    let mut w = Writer::new();
+    w.put_u8(tag);
+    fields(&mut w);
+    ArtifactId::of_bytes(&w.into_bytes())
 }
 
-/// Stable fingerprint of an optional profile: entries sorted by function id
-/// (the underlying `HashMap`'s debug order is not deterministic).
-fn profile_key(profile: Option<&Profile>) -> String {
-    match profile {
-        None => "none".to_string(),
-        Some(p) => {
-            let mut entries: Vec<(&u32, &Vec<u64>)> = p.counts.iter().collect();
-            entries.sort_by_key(|(id, _)| **id);
-            format!("{entries:?}")
-        }
+/// Every [`OptConfig`] field, in declaration order. The exhaustive
+/// patterns make a new field a compile error here rather than a key that
+/// silently ignores it.
+fn put_opt(w: &mut Writer, opt: &OptConfig) {
+    let OptConfig {
+        inline,
+        inline_cfg,
+        if_convert,
+        licm,
+        unroll,
+        drop_dead_funcs,
+        entry,
+    } = opt;
+    let InlineConfig {
+        max_callee_insts,
+        max_caller_insts,
+        rounds,
+    } = inline_cfg;
+    let UnrollConfig {
+        factor,
+        max_loop_insts,
+        innermost_only,
+    } = unroll;
+    w.put_bool(*inline);
+    w.put_u64(*max_callee_insts as u64);
+    w.put_u64(*max_caller_insts as u64);
+    w.put_u32(*rounds);
+    w.put_bool(*if_convert);
+    w.put_bool(*licm);
+    w.put_u32(*factor);
+    w.put_u64(*max_loop_insts as u64);
+    w.put_bool(*innermost_only);
+    w.put_bool(*drop_dead_funcs);
+    w.put_str(entry);
+}
+
+/// Every [`BackendOptions`] field, exhaustively like [`put_opt`].
+fn put_backend(w: &mut Writer, backend: &BackendOptions) {
+    let BackendOptions {
+        superblocks,
+        trace,
+        max_spill_rounds,
+    } = backend;
+    let TraceConfig {
+        max_trace_blocks,
+        max_dup_ops,
+        min_ratio,
+    } = trace;
+    w.put_bool(*superblocks);
+    w.put_u64(*max_trace_blocks as u64);
+    w.put_u64(*max_dup_ops as u64);
+    w.put_f64(*min_ratio);
+    w.put_u32(*max_spill_rounds);
+}
+
+/// The ID of a workload's inputs and arguments: the leaf every Profile
+/// and Simulate key names its data by.
+pub(crate) fn inputs_id(inputs: &[(String, Vec<i32>)], args: &[i32]) -> ArtifactId {
+    let mut w = Writer::new();
+    w.put_u32(inputs.len() as u32);
+    for (name, data) in inputs {
+        w.put_str(name);
+        data.encode(&mut w);
     }
+    w.put_u32(args.len() as u32);
+    for &a in args {
+        w.put_i32(a);
+    }
+    ArtifactId::of_bytes(&w.into_bytes())
 }
 
 /// The configured toolchain engine.
@@ -239,6 +325,14 @@ impl Codec for CompiledArtifact {
 }
 
 impl CompiledArtifact {
+    /// The target flavor this artifact was compiled for.
+    pub(crate) fn target(&self) -> TargetKind {
+        match self {
+            CompiledArtifact::Vliw(_) => TargetKind::Vliw,
+            CompiledArtifact::Scalar(_) => TargetKind::Scalar,
+        }
+    }
+
     /// Compile-time statistics, whichever the target.
     pub fn stats(&self) -> BackendStats {
         match self {
@@ -305,7 +399,7 @@ impl Toolchain {
     }
 
     /// This configuration with a new, empty, unshared artifact cache (same
-    /// byte budget and hashing configuration).
+    /// cache configuration).
     pub fn fresh_cache(&self) -> Toolchain {
         self.with_cache(Arc::new(ArtifactCache::with_config(self.cache.config())))
     }
@@ -336,6 +430,77 @@ impl Toolchain {
         self.cache.stage_times()
     }
 
+    /// The Parse key: H(source).
+    fn key_parse(source: &str) -> ArtifactId {
+        stage_key(StageKind::Parse as u8, |w| w.put_str(source))
+    }
+
+    /// The Optimize key: H([`OptConfig`], source).
+    fn key_optimize(&self, source: &str) -> ArtifactId {
+        stage_key(StageKind::Optimize as u8, |w| {
+            put_opt(w, &self.opt);
+            w.put_str(source);
+        })
+    }
+
+    /// The Profile key: H(module, inputs).
+    fn key_profile(module_id: ArtifactId, inputs_id: ArtifactId) -> ArtifactId {
+        stage_key(StageKind::Profile as u8, |w| {
+            module_id.encode(w);
+            inputs_id.encode(w);
+        })
+    }
+
+    /// The Compile key: H(flavor, module, machine, [`BackendOptions`],
+    /// profile or none).
+    fn key_compile(
+        &self,
+        flavor: TargetKind,
+        module_id: ArtifactId,
+        machine_id: ArtifactId,
+        profile_id: Option<ArtifactId>,
+    ) -> ArtifactId {
+        stage_key(StageKind::Compile as u8, |w| {
+            flavor.encode(w);
+            module_id.encode(w);
+            machine_id.encode(w);
+            put_backend(w, &self.backend);
+            profile_id.encode(w);
+        })
+    }
+
+    /// The Simulate key: H(flavor, compiled, machine, `max_cycles`,
+    /// inputs). The engine is deliberately absent (see the module docs).
+    fn key_simulate(
+        &self,
+        flavor: TargetKind,
+        compiled_id: ArtifactId,
+        machine_id: ArtifactId,
+        inputs_id: ArtifactId,
+    ) -> ArtifactId {
+        stage_key(StageKind::Simulate as u8, |w| {
+            flavor.encode(w);
+            compiled_id.encode(w);
+            machine_id.encode(w);
+            w.put_u64(self.sim.max_cycles);
+            inputs_id.encode(w);
+        })
+    }
+
+    /// The prepared-simulation key (see [`ArtifactCache::get_or_prepare`]):
+    /// H(flavor, machine, compiled) — everything a preparation reads.
+    fn key_prepare(
+        flavor: TargetKind,
+        machine_id: ArtifactId,
+        compiled_id: ArtifactId,
+    ) -> ArtifactId {
+        stage_key(PREPARE_TAG, |w| {
+            flavor.encode(w);
+            machine_id.encode(w);
+            compiled_id.encode(w);
+        })
+    }
+
     /// **Parse stage**: TinyC source → unoptimized IR module. Cached by
     /// source text.
     ///
@@ -343,10 +508,12 @@ impl Toolchain {
     ///
     /// [`ToolchainError::Frontend`] on TinyC errors.
     pub fn parse(&self, source: &str) -> Result<Module, ToolchainError> {
-        self.cache
-            .get_or_compute(StageKind::Parse, source.to_string(), |t| {
-                Ok(t.time(|| asip_tinyc::compile(source))?)
-            })
+        let (module, _) =
+            self.cache
+                .get_or_compute(StageKind::Parse, Self::key_parse(source), |t| {
+                    Ok(t.time(|| asip_tinyc::compile(source))?)
+                })?;
+        Ok(module)
     }
 
     /// **Parse + Optimize stages**: TinyC source → optimized IR module.
@@ -356,7 +523,15 @@ impl Toolchain {
     ///
     /// [`ToolchainError::Frontend`] on TinyC errors.
     pub fn frontend(&self, source: &str) -> Result<Module, ToolchainError> {
-        let key = format!("{:?}\u{1f}{source}", self.opt);
+        Ok(self.frontend_addressed(source)?.0)
+    }
+
+    /// [`Toolchain::frontend`], with the optimized module's ID.
+    pub(crate) fn frontend_addressed(
+        &self,
+        source: &str,
+    ) -> Result<(Module, ArtifactId), ToolchainError> {
+        let key = self.key_optimize(source);
         self.cache.get_or_compute(StageKind::Optimize, key, |t| {
             // Parse times itself under its own stage.
             let mut module = self.parse(source)?;
@@ -377,7 +552,22 @@ impl Toolchain {
         inputs: &[(String, Vec<i32>)],
         args: &[i32],
     ) -> Result<Profile, ToolchainError> {
-        let key = format!("{module:?}\u{1f}{inputs:?}\u{1f}{args:?}");
+        let module = (module, ArtifactId::of(module));
+        Ok(self
+            .profile_addressed(module, inputs, args, inputs_id(inputs, args))?
+            .0)
+    }
+
+    /// [`Toolchain::profile`] over an addressed module and inputs, with
+    /// the profile's ID.
+    pub(crate) fn profile_addressed(
+        &self,
+        (module, module_id): (&Module, ArtifactId),
+        inputs: &[(String, Vec<i32>)],
+        args: &[i32],
+        inputs_id: ArtifactId,
+    ) -> Result<(Profile, ArtifactId), ToolchainError> {
+        let key = Self::key_profile(module_id, inputs_id);
         self.cache.get_or_compute(StageKind::Profile, key, |t| {
             t.time(|| {
                 let mut interp = Interp::new(module, InterpOptions::default());
@@ -390,21 +580,17 @@ impl Toolchain {
         })
     }
 
-    /// Cached compile of one target flavor. The key leads with the flavor
-    /// name, so a VLIW and a scalar artifact of the same (module, machine,
-    /// options, profile) can never collide in the cache.
-    fn compile_flavor(
+    /// Cached compile of one target flavor over addressed inputs, with the
+    /// artifact's ID.
+    pub(crate) fn compile_addressed(
         &self,
         flavor: TargetKind,
-        module: &Module,
-        machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledArtifact, ToolchainError> {
-        let key = format!(
-            "{flavor}\u{1f}{module:?}\u{1f}{machine:?}\u{1f}{:?}\u{1f}{}",
-            self.backend,
-            profile_key(profile)
-        );
+        (module, module_id): (&Module, ArtifactId),
+        (machine, machine_id): (&MachineDescription, ArtifactId),
+        profile: Option<(&Profile, ArtifactId)>,
+    ) -> Result<(CompiledArtifact, ArtifactId), ToolchainError> {
+        let key = self.key_compile(flavor, module_id, machine_id, profile.map(|p| p.1));
+        let profile = profile.map(|p| p.0);
         self.cache.get_or_compute(StageKind::Compile, key, |t| {
             t.time(|| match flavor {
                 TargetKind::Vliw => Ok(CompiledArtifact::Vliw(compile_module(
@@ -421,6 +607,24 @@ impl Toolchain {
                 )?)),
             })
         })
+    }
+
+    /// Cached compile of one target flavor, hashing the arguments into the
+    /// same key [`Toolchain::compile_addressed`] uses.
+    fn compile_flavor(
+        &self,
+        flavor: TargetKind,
+        module: &Module,
+        machine: &MachineDescription,
+        profile: Option<&Profile>,
+    ) -> Result<CompiledArtifact, ToolchainError> {
+        let (art, _) = self.compile_addressed(
+            flavor,
+            (module, ArtifactId::of(module)),
+            (machine, ArtifactId::of(machine)),
+            profile.map(|p| (p, ArtifactId::of(p))),
+        )?;
+        Ok(art)
     }
 
     /// **Compile stage**, dispatched on the machine's [`TargetKind`]: IR
@@ -453,35 +657,15 @@ impl Toolchain {
         machine: &MachineDescription,
         profile: Option<&Profile>,
     ) -> Result<CompiledProgram, ToolchainError> {
-        let art = self.compile_flavor(TargetKind::Vliw, module, machine, profile)?;
-        Ok(art
-            .vliw()
-            .expect("vliw-flavored keys hold vliw artifacts")
-            .clone())
-    }
-
-    /// **Compile stage**, scalar flavor: IR module → linear scalar program.
-    /// Cached like [`Toolchain::compile_for`].
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Backend`].
-    pub fn compile_scalar(
-        &self,
-        module: &Module,
-        machine: &MachineDescription,
-        profile: Option<&Profile>,
-    ) -> Result<CompiledScalarProgram, ToolchainError> {
-        let art = self.compile_flavor(TargetKind::Scalar, module, machine, profile)?;
-        Ok(art
-            .scalar()
-            .expect("scalar-flavored keys hold scalar artifacts")
-            .clone())
+        match self.compile_flavor(TargetKind::Vliw, module, machine, profile)? {
+            CompiledArtifact::Vliw(p) => Ok(p),
+            CompiledArtifact::Scalar(_) => unreachable!("vliw-flavored keys hold vliw artifacts"),
+        }
     }
 
     /// Full stage graph for one workload on one machine, checking the
-    /// golden output. Every stage but the final simulation is served from
-    /// the artifact cache when possible.
+    /// golden output. Every stage is served from the artifact cache when
+    /// possible.
     ///
     /// # Errors
     ///
@@ -492,127 +676,70 @@ impl Toolchain {
         w: &Workload,
         machine: &MachineDescription,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let module = self.frontend(&w.source)?;
+        let (module, module_id) = self.frontend_addressed(&w.source)?;
+        let inputs_id = inputs_id(&w.inputs, &w.args);
         let profile = if self.profile_guided {
-            Some(self.profile(&module, &w.inputs, &w.args)?)
+            Some(self.profile_addressed((&module, module_id), &w.inputs, &w.args, inputs_id)?)
         } else {
             None
         };
-        let compiled = self.compile_for(&module, machine, profile.as_ref())?;
-        self.run_artifact(w, machine, &compiled)
+        let machine = (machine, ArtifactId::of(machine));
+        let (compiled, compiled_id) = self.compile_addressed(
+            machine.0.target,
+            (&module, module_id),
+            machine,
+            profile.as_ref().map(|(p, id)| (p, *id)),
+        )?;
+        self.simulate_addressed(w, machine, (&compiled, compiled_id), inputs_id)
     }
 
-    /// The Simulate-stage cache key. Flavor-tagged like Compile keys, and
-    /// covering everything that can change the deterministic measurement:
-    /// the compiled program, the machine tables, the [`SimOptions`]
-    /// *limits*, and the workload's inputs and arguments. The program and
-    /// the input data are rendered through their lossless binary codec
-    /// (hex-expanded) rather than `Debug` formatting — the key is built on
-    /// the hot path of every cell, and the codec writer is an order of
-    /// magnitude cheaper than `fmt` while remaining a complete, injective
-    /// rendering. Two things are deliberately *not* part of the key:
-    ///
-    /// * the [`SimEngine`] choice — every engine produces bit-identical
-    ///   `SimResult`s (pinned by the differential suites and the
-    ///   `session_env` engine-invariance test), so a cell measured under
-    ///   one engine is a valid hit for any other, on either tier;
-    /// * the golden `expected` stream — the output check runs on every
-    ///   call, hit or miss, so a sabotaged expectation still reports
-    ///   [`ToolchainError::WrongOutput`] against the cached measurement.
-    fn simulate_key<P: Codec>(
-        &self,
-        flavor: TargetKind,
-        machine: &MachineDescription,
-        program: &P,
-        w: &Workload,
-    ) -> String {
-        let mut blob = Writer::new();
-        program.encode(&mut blob);
-        blob.put_u32(w.inputs.len() as u32);
-        for (name, data) in &w.inputs {
-            blob.put_str(name);
-            data.encode(&mut blob);
-        }
-        w.args.encode(&mut blob);
-        let key = format!(
-            "{flavor}\u{1f}{machine:?}\u{1f}max_cycles={}\u{1f}",
-            self.sim.max_cycles
-        );
-        hex_expand(key.into_bytes(), &blob.into_bytes())
-    }
-
-    /// The prepared-simulation key (see [`ArtifactCache::get_or_prepare`]):
-    /// everything a preparation reads — target flavor, machine tables,
-    /// program — with the program codec-rendered like
-    /// [`Toolchain::simulate_key`]. Only the block engine prepares, so the
-    /// key carries no engine tag.
-    fn prepare_key<P: Codec>(
-        &self,
-        flavor: TargetKind,
-        machine: &MachineDescription,
-        program: &P,
-    ) -> String {
-        let mut blob = Writer::new();
-        program.encode(&mut blob);
-        let key = format!("{flavor}\u{1f}{machine:?}\u{1f}");
-        hex_expand(key.into_bytes(), &blob.into_bytes())
-    }
-
-    /// One VLIW measurement on the configured [`SimEngine`]. The block
-    /// engine runs from a prepared form served by the cache's
-    /// process-local preparation map ([`CacheStats::decode`]), so repeated
-    /// runs of the same artifact skip validation + block discovery; the
-    /// reference interpreter prepares nothing by design.
-    fn simulate_vliw(
+    /// One measurement on the configured [`SimEngine`]. The block engine
+    /// runs from a prepared form served by the cache's process-local
+    /// preparation map ([`CacheStats::decode`]), so repeated runs of the
+    /// same artifact skip validation + block discovery; the reference
+    /// interpreter prepares nothing by design.
+    fn measure(
         &self,
         w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledProgram,
+        (machine, machine_id): (&MachineDescription, ArtifactId),
+        (compiled, compiled_id): (&CompiledArtifact, ArtifactId),
     ) -> Result<SimResult, ToolchainError> {
-        let program = &compiled.program;
-        match self.sim.engine {
-            SimEngine::Reference => Ok(run_vliw_reference(
-                machine, program, &w.inputs, &w.args, self.sim,
-            )?),
-            SimEngine::Block => {
-                let key = self.prepare_key(TargetKind::Vliw, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockVliw::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
+        let (inputs, args, opts) = (&w.inputs, &w.args, self.sim);
+        let key = || Self::key_prepare(compiled.target(), machine_id, compiled_id);
+        Ok(match (self.sim.engine, compiled) {
+            (SimEngine::Reference, CompiledArtifact::Vliw(p)) => {
+                run_vliw_reference(machine, &p.program, inputs, args, opts)?
             }
-        }
+            (SimEngine::Reference, CompiledArtifact::Scalar(p)) => {
+                run_scalar_reference(machine, &p.program, inputs, args, opts)?
+            }
+            (SimEngine::Block, CompiledArtifact::Vliw(p)) => self
+                .cache
+                .get_or_prepare(key(), || Ok(BlockVliw::new(machine, &p.program)?))?
+                .run_with_inputs(inputs, args, opts)?,
+            (SimEngine::Block, CompiledArtifact::Scalar(p)) => self
+                .cache
+                .get_or_prepare(key(), || Ok(BlockScalar::new(machine, &p.program)?))?
+                .run_with_inputs(inputs, args, opts)?,
+        })
     }
 
-    /// One scalar measurement on the configured [`SimEngine`]; prepared
-    /// forms are shared exactly like [`Toolchain::simulate_vliw`].
-    fn simulate_scalar(
+    /// **Simulate stage** over addressed inputs: memoized measurement,
+    /// then the golden-output check (on hits too).
+    pub(crate) fn simulate_addressed(
         &self,
         w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledScalarProgram,
-    ) -> Result<SimResult, ToolchainError> {
-        let program = &compiled.program;
-        match self.sim.engine {
-            SimEngine::Reference => Ok(run_scalar_reference(
-                machine, program, &w.inputs, &w.args, self.sim,
-            )?),
-            SimEngine::Block => {
-                let key = self.prepare_key(TargetKind::Scalar, machine, program);
-                let b = self
-                    .cache
-                    .get_or_prepare(key, || Ok(BlockScalar::new(machine, program)?))?;
-                Ok(b.run_with_inputs(&w.inputs, &w.args, self.sim)?)
-            }
-        }
-    }
-
-    /// Golden-model output check shared by both Simulate flavors.
-    fn check_output(
-        result: &SimResult,
-        w: &Workload,
-        machine: &MachineDescription,
-    ) -> Result<(), ToolchainError> {
+        machine: (&MachineDescription, ArtifactId),
+        compiled: (&CompiledArtifact, ArtifactId),
+        inputs_id: ArtifactId,
+    ) -> Result<WorkloadRun, ToolchainError> {
+        let key = self.key_simulate(compiled.0.target(), compiled.1, machine.1, inputs_id);
+        let (result, _) = self.cache.get_or_compute(StageKind::Simulate, key, |t| {
+            let result = t.time(|| self.measure(w, machine, compiled))?;
+            self.cache.record_sim_cycles(result.cycles);
+            Ok(result)
+        })?;
+        let (machine, compiled) = (machine.0, compiled.0);
         if result.output != w.expected {
             return Err(ToolchainError::WrongOutput {
                 workload: w.name.clone(),
@@ -621,15 +748,18 @@ impl Toolchain {
                 actual: result.output.clone(),
             });
         }
-        Ok(())
+        Ok(WorkloadRun {
+            workload: w.name.clone(),
+            machine: machine.name.clone(),
+            sim: result,
+            compile: compiled.stats(),
+            code_bytes: compiled.code_bytes(machine),
+        })
     }
 
-    /// **Simulate stage**: run an already-compiled workload (used by sweeps
-    /// that vary only the simulation conditions). **Memoized** like every
-    /// other stage: the engines are deterministic functions of the key's
-    /// rendered inputs, so a repeated identical cell across ISE/DSE sweeps
-    /// — or a disk-warm rerun — skips the cycle loop entirely and returns
-    /// a byte-identical [`SimResult`]. Errors are never cached.
+    /// **Simulate stage**: run an already-compiled VLIW workload (used by
+    /// sweeps that vary only the simulation conditions). Memoized like
+    /// [`Toolchain::run_artifact`], under the same key.
     ///
     /// # Errors
     ///
@@ -640,57 +770,15 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: &CompiledProgram,
     ) -> Result<WorkloadRun, ToolchainError> {
-        let key = self.simulate_key(TargetKind::Vliw, machine, &compiled.program, w);
-        let result = self.cache.get_or_compute(StageKind::Simulate, key, |t| {
-            let result = t.time(|| self.simulate_vliw(w, machine, compiled))?;
-            self.cache.record_sim_cycles(result.cycles);
-            Ok(result)
-        })?;
-        Self::check_output(&result, w, machine)?;
-        let code_bytes =
-            asip_isa::encoding::code_bytes(&compiled.program, machine, machine.encoding);
-        Ok(WorkloadRun {
-            workload: w.name.clone(),
-            machine: machine.name.clone(),
-            sim: result,
-            compile: compiled.stats,
-            code_bytes,
-        })
-    }
-
-    /// **Simulate stage**, scalar flavor: run an already-compiled scalar
-    /// workload on the in-order pipeline model. Memoized like
-    /// [`Toolchain::run_compiled`], with a scalar-flavored key.
-    ///
-    /// # Errors
-    ///
-    /// [`ToolchainError::Sim`] or [`ToolchainError::WrongOutput`].
-    pub fn run_compiled_scalar(
-        &self,
-        w: &Workload,
-        machine: &MachineDescription,
-        compiled: &CompiledScalarProgram,
-    ) -> Result<WorkloadRun, ToolchainError> {
-        let key = self.simulate_key(TargetKind::Scalar, machine, &compiled.program, w);
-        let result = self.cache.get_or_compute(StageKind::Simulate, key, |t| {
-            let result = t.time(|| self.simulate_scalar(w, machine, compiled))?;
-            self.cache.record_sim_cycles(result.cycles);
-            Ok(result)
-        })?;
-        Self::check_output(&result, w, machine)?;
-        let code_bytes = compiled.program.code_bytes(machine.encoding);
-        Ok(WorkloadRun {
-            workload: w.name.clone(),
-            machine: machine.name.clone(),
-            sim: result,
-            compile: compiled.stats,
-            code_bytes,
-        })
+        self.run_artifact(w, machine, &CompiledArtifact::Vliw(compiled.clone()))
     }
 
     /// **Simulate stage** for either artifact kind: dispatches to the VLIW
-    /// or the scalar pipeline model. Never cached — this is the
-    /// measurement.
+    /// or the scalar pipeline model. **Memoized** like every other stage:
+    /// the engines are deterministic functions of the key's inputs, so a
+    /// repeated identical cell across ISE/DSE sweeps — or a disk-warm
+    /// rerun — skips the cycle loop entirely and returns a byte-identical
+    /// [`SimResult`]. Errors are never cached.
     ///
     /// # Errors
     ///
@@ -701,16 +789,143 @@ impl Toolchain {
         machine: &MachineDescription,
         compiled: &CompiledArtifact,
     ) -> Result<WorkloadRun, ToolchainError> {
-        match compiled {
-            CompiledArtifact::Vliw(p) => self.run_compiled(w, machine, p),
-            CompiledArtifact::Scalar(p) => self.run_compiled_scalar(w, machine, p),
-        }
+        self.simulate_addressed(
+            w,
+            (machine, ArtifactId::of(machine)),
+            (compiled, ArtifactId::of(compiled)),
+            inputs_id(&w.inputs, &w.args),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The inputs of every stage key of one cell. Artifact IDs the keys
+    /// name (module, compiled program) are fixed stand-ins: varying them is
+    /// the leaf-hash tests' business, not the key scheme's.
+    #[derive(Clone)]
+    struct Cell {
+        tc: Toolchain,
+        source: String,
+        machine: MachineDescription,
+        inputs: Vec<(String, Vec<i32>)>,
+        args: Vec<i32>,
+        profile: Option<ArtifactId>,
+        flavor: TargetKind,
+    }
+
+    const STAGES: [&str; 6] = [
+        "parse", "optimize", "profile", "compile", "simulate", "prepare",
+    ];
+
+    impl Cell {
+        fn keys(&self) -> [ArtifactId; 6] {
+            let module = ArtifactId::of_bytes(b"module");
+            let compiled = ArtifactId::of_bytes(b"compiled");
+            let machine = ArtifactId::of(&self.machine);
+            let inputs = inputs_id(&self.inputs, &self.args);
+            [
+                Toolchain::key_parse(&self.source),
+                self.tc.key_optimize(&self.source),
+                Toolchain::key_profile(module, inputs),
+                self.tc
+                    .key_compile(self.flavor, module, machine, self.profile),
+                self.tc.key_simulate(self.flavor, compiled, machine, inputs),
+                Toolchain::key_prepare(self.flavor, machine, compiled),
+            ]
+        }
+    }
+
+    #[test]
+    fn changing_any_stage_input_changes_exactly_its_keys() {
+        let w = asip_workloads::by_name("fir").unwrap();
+        let base = Cell {
+            tc: Toolchain::default(),
+            source: w.source.clone(),
+            machine: MachineDescription::ember4(),
+            inputs: w.inputs.clone(),
+            args: w.args.clone(),
+            profile: Some(ArtifactId::of_bytes(b"profile")),
+            flavor: TargetKind::Vliw,
+        };
+        assert!(!base.inputs.is_empty() && !base.inputs[0].1.is_empty());
+        let changed = |vary: &dyn Fn(&mut Cell)| -> Vec<&str> {
+            let mut cell = base.clone();
+            vary(&mut cell);
+            let (a, b) = (base.keys(), cell.keys());
+            (0..STAGES.len())
+                .filter(|&i| a[i] != b[i])
+                .map(|i| STAGES[i])
+                .collect()
+        };
+        let front: &[&str] = &["parse", "optimize"];
+        let data: &[&str] = &["profile", "simulate"];
+        let target: &[&str] = &["compile", "simulate", "prepare"];
+        let last_byte = |c: &mut Cell| {
+            let last = c.source.pop().unwrap();
+            c.source.push(if last == ' ' { '\t' } else { ' ' });
+        };
+        assert_eq!(changed(&last_byte), front);
+        assert_eq!(changed(&|c| c.tc.opt.licm = !c.tc.opt.licm), ["optimize"]);
+        assert_eq!(changed(&|c| c.tc.opt.unroll.factor += 1), ["optimize"]);
+        assert_eq!(changed(&|c| c.tc.opt.inline_cfg.rounds += 1), ["optimize"]);
+        assert_eq!(changed(&|c| c.machine.lat_mul += 1), target);
+        assert_eq!(changed(&|c| c.machine.dmem_words -= 1), target);
+        assert_eq!(
+            changed(&|c| c.tc.backend.max_spill_rounds += 1),
+            ["compile"]
+        );
+        assert_eq!(
+            changed(&|c| c.tc.backend.trace.min_ratio += 0.1),
+            ["compile"]
+        );
+        assert_eq!(changed(&|c| c.profile = None), ["compile"]);
+        assert_eq!(changed(&|c| c.tc.sim.max_cycles += 1), ["simulate"]);
+        assert_eq!(changed(&|c| c.inputs[0].1[0] ^= 1), data);
+        assert_eq!(changed(&|c| c.args.push(0)), data);
+        assert_eq!(changed(&|c| c.flavor = TargetKind::Scalar), target);
+        // The engine is not an input of any key.
+        for engine in [SimEngine::Reference, SimEngine::Block] {
+            assert_eq!(changed(&|c| c.tc.sim.engine = engine), [""; 0]);
+        }
+    }
+
+    #[test]
+    fn golden_stage_keys_pin_the_key_layout() {
+        // Disk entries are named by stage keys: a layout change here must
+        // come with a `FORMAT_VERSION` bump.
+        let src = "void main(int a) { emit(a); }";
+        assert_eq!(
+            Toolchain::key_parse(src).to_string(),
+            "1efb2f310dfd67ac1185fcac7045dd85"
+        );
+        assert_eq!(
+            Toolchain::default().key_optimize(src).to_string(),
+            "165cc88fafece1065ebbd12b5f37797f"
+        );
+    }
+
+    #[test]
+    fn public_stage_calls_hit_what_run_workload_stored() {
+        let tc = Toolchain::default();
+        let w = asip_workloads::by_name("fir").unwrap();
+        let m = MachineDescription::ember4();
+        let run = tc.run_workload(&w, &m).unwrap();
+        let cold = tc.cache_stats();
+        tc.parse(&w.source).unwrap();
+        let module = tc.frontend(&w.source).unwrap();
+        let profile = tc.profile(&module, &w.inputs, &w.args).unwrap();
+        let compiled = tc.compile_for(&module, &m, Some(&profile)).unwrap();
+        assert_eq!(tc.run_artifact(&w, &m, &compiled).unwrap(), run);
+        let vliw = compiled.vliw().unwrap();
+        assert_eq!(tc.run_compiled(&w, &m, vliw).unwrap(), run);
+        assert_eq!(&tc.compile(&module, &m, Some(&profile)).unwrap(), vliw);
+        let warm = tc.cache_stats();
+        assert_eq!(warm.misses(), cold.misses(), "{warm}");
+        assert_eq!(warm.hits(), cold.hits() + 7, "{warm}");
+    }
 
     #[test]
     fn fir_runs_and_checks_on_ember4() {

@@ -32,19 +32,19 @@
 //! `eval_batch` executes cells on scoped worker threads pulling from a
 //! shared cursor, and writes each outcome into its request's slot: the
 //! result vector is **request-ordered and byte-identical regardless of
-//! thread count**. Artifacts are deterministic functions of their rendered
+//! thread count**. Artifacts are deterministic functions of their keyed
 //! inputs and round-trip the cache's versioned binary codec exactly, so
 //! cache hits (from either tier), racing recomputes, LRU evictions and
 //! disk warm starts can never change a measurement — only the
 //! [`CacheStats`] counters.
 
 use crate::cache::{
-    default_cache_bytes, default_cache_dir, ArtifactCache, CacheConfig, CacheStats, DiskTierConfig,
-    StageTimes, DEFAULT_DISK_CACHE_BYTES,
+    default_cache_bytes, default_cache_dir, ArtifactCache, ArtifactId, CacheConfig, CacheStats,
+    DiskTierConfig, StageTimes, DEFAULT_DISK_CACHE_BYTES,
 };
 use crate::flight::SingleFlight;
 use crate::ise::{extend, IseConfig, IseReport};
-use crate::pipeline::{Toolchain, ToolchainError, WorkloadRun};
+use crate::pipeline::{inputs_id, Toolchain, ToolchainError, WorkloadRun};
 use asip_backend::BackendOptions;
 use asip_ir::passes::OptConfig;
 use asip_isa::{FuKind, MachineDescription};
@@ -251,7 +251,6 @@ impl SessionBuilder {
                 });
             Arc::new(ArtifactCache::with_config(CacheConfig {
                 byte_budget: self.cache_bytes.unwrap_or_else(default_cache_bytes),
-                hash_mask: !0,
                 disk,
             }))
         });
@@ -497,15 +496,20 @@ impl Session {
         self.flights.run(req.encode_to_vec(), || self.eval(req))
     }
 
+    /// One cell through the stage graph, threading each artifact's ID to
+    /// the next stage's key: nothing is rendered or re-encoded per stage.
+    /// Leaves are hashed once where they enter — the machine, the inputs,
+    /// and a module ISE rewrote.
     fn eval_inner(&self, req: &EvalRequest) -> Result<EvalRun, ToolchainError> {
         let tc = &self.tc;
         let w = &req.workload;
-        let mut module = tc.frontend(&w.source)?;
+        let (mut module, mut module_id) = tc.frontend_addressed(&w.source)?;
+        let inputs_id = inputs_id(&w.inputs, &w.args);
         let wants_ise = req.options.ise_budget > 0.0 && req.machine.has_fu(FuKind::Custom);
         // ISE selection needs a profile even when compilation is not
         // profile-guided.
         let profile = if tc.profile_guided || wants_ise {
-            Some(tc.profile(&module, &w.inputs, &w.args)?)
+            Some(tc.profile_addressed((&module, module_id), &w.inputs, &w.args, inputs_id)?)
         } else {
             None
         };
@@ -517,20 +521,22 @@ impl Session {
             let (m2, report) = extend(
                 &mut module,
                 &req.machine,
-                profile.as_ref().expect("profiled for ISE"),
+                &profile.as_ref().expect("profiled for ISE").0,
                 &cfg,
             );
+            module_id = ArtifactId::of(&module);
             (m2, Some(report))
         } else {
             (req.machine.clone(), None)
         };
-        let guided = if tc.profile_guided {
-            profile.as_ref()
-        } else {
-            None
-        };
-        let compiled = tc.compile_for(&module, &machine, guided)?;
-        let run = tc.run_artifact(w, &machine, &compiled)?;
+        let guided = profile
+            .as_ref()
+            .filter(|_| tc.profile_guided)
+            .map(|(p, id)| (p, *id));
+        let addressed = (&machine, ArtifactId::of(&machine));
+        let (compiled, compiled_id) =
+            tc.compile_addressed(machine.target, (&module, module_id), addressed, guided)?;
+        let run = tc.simulate_addressed(w, addressed, (&compiled, compiled_id), inputs_id)?;
         Ok(EvalRun { run, machine, ise })
     }
 

@@ -24,7 +24,7 @@
 
 use super::ctrl_of;
 use crate::exec::scalar::DecodedScalar;
-use crate::exec::{ExecKind, Src, LR_HALT};
+use crate::exec::{ExecKind, Src, LR_HALT, MEM_POOL};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
 use asip_dbt::blocks::{discover, BlockMap};
@@ -97,10 +97,6 @@ pub struct BlockScalar {
     /// because one block-compiled program is shared across session
     /// worker threads.
     tx: Vec<OnceLock<Superop>>,
-    /// Reusable data-memory buffers for [`BlockScalar::run_with_inputs`]:
-    /// a prepared engine runs many times, and rebuilding the dmem image
-    /// per run would dominate short kernels.
-    pool: crate::exec::MemPool,
     fast_blocks: AtomicU64,
     slow_insts: AtomicU64,
 }
@@ -132,7 +128,6 @@ impl BlockScalar {
             d,
             map,
             tx,
-            pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_insts: AtomicU64::new(0),
         })
@@ -167,11 +162,10 @@ impl BlockScalar {
     /// One-call form over a fresh memory image with named workload inputs
     /// written in (unknown names are ignored, as in the reference loops).
     ///
-    /// The image comes from the engine's internal buffer pool: a prepared
-    /// engine is run many times (budget sweeps, DSE revisits), and
-    /// reusing warm pages instead of rebuilding `dmem_words` of zeroed
-    /// memory per run is most of the win on short kernels. The reset
-    /// buffer is bit-identical to [`BlockScalar::initial_memory`].
+    /// The image comes from the process-wide buffer pool: reusing warm
+    /// pages instead of rebuilding `dmem_words` of zeroed memory per run
+    /// is most of the win on short kernels. The reset buffer is
+    /// bit-identical to [`BlockScalar::initial_memory`].
     ///
     /// # Errors
     ///
@@ -182,15 +176,12 @@ impl BlockScalar {
         args: &[i32],
         opts: SimOptions,
     ) -> Result<SimResult, SimError> {
-        let mut memory = self
-            .pool
-            .acquire(self.d.machine.dmem_words, &self.d.program.globals);
+        let mut memory = MEM_POOL.acquire(self.d.machine.dmem_words, &self.d.program.globals);
         crate::exec::write_inputs(&mut memory, &self.d.program.globals, inputs);
         let mut dirty_from = memory.len();
         let res = self.run_in(&mut memory, args, opts, &mut dirty_from);
         if res.is_ok() {
-            self.pool
-                .release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
+            MEM_POOL.release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
         }
         res
     }

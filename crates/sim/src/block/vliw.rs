@@ -24,7 +24,7 @@
 
 use super::{ctrl_of, for_each_read, for_each_write};
 use crate::exec::vliw::DecodedVliw;
-use crate::exec::{ActivityDelta, ExecKind, Src, LR_HALT};
+use crate::exec::{ActivityDelta, ExecKind, Src, LR_HALT, MEM_POOL};
 use crate::icache::ICache;
 use crate::run::{SimError, SimOptions, SimResult};
 use asip_dbt::blocks::{discover, BlockMap};
@@ -95,10 +95,6 @@ pub struct BlockVliw {
     /// block's entry pc through `map.block_of`). `OnceLock` because one
     /// block-compiled program is shared across session worker threads.
     tx: Vec<OnceLock<Superop>>,
-    /// Reusable data-memory buffers for [`BlockVliw::run_with_inputs`]:
-    /// a prepared engine runs many times, and rebuilding the dmem image
-    /// per run would dominate short kernels.
-    pool: crate::exec::MemPool,
     fast_blocks: AtomicU64,
     slow_bundles: AtomicU64,
 }
@@ -127,7 +123,6 @@ impl BlockVliw {
             d,
             map,
             tx,
-            pool: crate::exec::MemPool::default(),
             fast_blocks: AtomicU64::new(0),
             slow_bundles: AtomicU64::new(0),
         })
@@ -162,11 +157,10 @@ impl BlockVliw {
     /// One-call form over a fresh memory image with named workload inputs
     /// written in (unknown names are ignored, as in the reference loops).
     ///
-    /// The image comes from the engine's internal buffer pool: a prepared
-    /// engine is run many times (budget sweeps, DSE revisits), and
-    /// reusing warm pages instead of rebuilding `dmem_words` of zeroed
-    /// memory per run is most of the win on short kernels. The reset
-    /// buffer is bit-identical to [`BlockVliw::initial_memory`].
+    /// The image comes from the process-wide buffer pool: reusing warm
+    /// pages instead of rebuilding `dmem_words` of zeroed memory per run
+    /// is most of the win on short kernels. The reset buffer is
+    /// bit-identical to [`BlockVliw::initial_memory`].
     ///
     /// # Errors
     ///
@@ -177,17 +171,14 @@ impl BlockVliw {
         args: &[i32],
         opts: SimOptions,
     ) -> Result<SimResult, SimError> {
-        let mut memory = self
-            .pool
-            .acquire(self.d.machine.dmem_words, &self.d.program.globals);
+        let mut memory = MEM_POOL.acquire(self.d.machine.dmem_words, &self.d.program.globals);
         crate::exec::write_inputs(&mut memory, &self.d.program.globals, inputs);
         let mut dirty_from = memory.len();
         let res = self.run_in(&mut memory, args, opts, &mut dirty_from);
         if res.is_ok() {
             // Scrub only what the run dirtied and park the buffer; an
             // errored run left an untracked image, so let it drop.
-            self.pool
-                .release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
+            MEM_POOL.release_scrubbed(memory, self.d.program.data_words as usize, dirty_from);
         }
         res
     }

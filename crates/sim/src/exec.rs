@@ -178,38 +178,51 @@ pub(crate) fn write_inputs(
     }
 }
 
-/// A small pool of reusable data-memory buffers.
+/// The process-wide pool of reusable data-memory buffers.
 ///
 /// Building a fresh image per run (`vec![0; dmem_words]`) costs an
 /// mmap/zero/munmap round trip per simulation — on a megaword machine
 /// that is most of a short kernel's wall time, and an explicit full
-/// memset on reuse would cost just as much. The block engines keep a few
-/// buffers resident instead, with a **scrub** protocol: parked buffers
-/// are always all-zero, [`MemPool::acquire`] re-applies the global
-/// initializers (identical contents to [`initial_memory`]), and
+/// memset on reuse would cost just as much. The block engines draw from
+/// one pool instead, with a **scrub** protocol: parked buffers are always
+/// all-zero, [`MemPool::acquire`] re-applies the global initializers
+/// (identical contents to [`initial_memory`]), and
 /// [`MemPool::release_scrubbed`] zeroes only the regions a run can have
 /// dirtied — the static-data region plus everything from the lowest
 /// stack/store address up, which the engines watermark during execution.
-/// The pool is bounded: the engines are shared across session worker
-/// threads, so at most a handful of buffers ever stay parked.
-#[derive(Debug, Default)]
+/// A scrubbed buffer is all-zero whichever program dirtied it, so any
+/// engine may reuse it.
+///
+/// The pool is one per process, not one per prepared engine, and holds at
+/// most [`MEM_POOL_CAP`] parked buffers: a session prepares an engine per
+/// distinct (machine, program) pair, and a per-engine buffer kept one
+/// resident image alive in each of them (hundreds of MiB over a grid).
+#[derive(Debug)]
 pub(crate) struct MemPool {
     bufs: std::sync::Mutex<Vec<Vec<i32>>>,
 }
 
-/// Buffers kept parked per pool; extras beyond concurrent demand are freed.
-const MEM_POOL_CAP: usize = 4;
+/// Buffers parked in [`MEM_POOL`] at most; a release into a full pool
+/// frees the longest-parked one.
+pub(crate) const MEM_POOL_CAP: usize = 4;
+
+/// The pool every block engine draws its data-memory images from.
+pub(crate) static MEM_POOL: MemPool = MemPool {
+    bufs: std::sync::Mutex::new(Vec::new()),
+};
 
 impl MemPool {
-    /// Pop a parked (all-zero) buffer — or allocate a fresh lazily-zeroed
-    /// one — and apply `globals`' initializers: identical contents to
-    /// [`initial_memory`].
+    /// Take a parked (all-zero) buffer of `dmem_words` words — or allocate
+    /// a fresh lazily-zeroed one — and apply `globals`' initializers:
+    /// identical contents to [`initial_memory`].
     pub(crate) fn acquire(&self, dmem_words: u32, globals: &[asip_isa::GlobalSym]) -> Vec<i32> {
         let want = dmem_words as usize;
-        let mut memory = match self.bufs.lock().unwrap().pop() {
-            Some(b) if b.len() == want => b,
-            _ => vec![0i32; want],
+        let parked = {
+            let mut bufs = self.bufs.lock().unwrap();
+            let at = bufs.iter().rposition(|b| b.len() == want);
+            at.map(|i| bufs.remove(i))
         };
+        let mut memory = parked.unwrap_or_else(|| vec![0i32; want]);
         for g in globals {
             for (i, &v) in g.init.iter().enumerate() {
                 let a = g.addr as usize + i;
@@ -236,10 +249,19 @@ impl MemPool {
         }
         buf[..dw].fill(0);
         buf[lo..].fill(0);
-        let mut bufs = self.bufs.lock().unwrap();
-        if bufs.len() < MEM_POOL_CAP {
+        let evicted = {
+            let mut bufs = self.bufs.lock().unwrap();
             bufs.push(buf);
-        }
+            (bufs.len() > MEM_POOL_CAP).then(|| bufs.remove(0))
+        };
+        // Freed outside the lock.
+        drop(evicted);
+    }
+
+    /// Buffers currently parked.
+    #[cfg(test)]
+    pub(crate) fn parked(&self) -> usize {
+        self.bufs.lock().unwrap().len()
     }
 }
 
@@ -419,5 +441,84 @@ impl ActivityDelta {
         act.copy_ops += self.copy;
         act.custom_ops += self.custom;
         act.custom_area_executed += self.custom_area;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reference::{run_scalar_reference, run_vliw_reference};
+    use crate::{BlockScalar, BlockVliw, SimOptions, SimResult};
+    use asip_backend::{compile_module, compile_module_scalar, BackendOptions};
+    use asip_isa::TargetKind;
+
+    /// `base` with an image size no other test uses, so the pool's buffers
+    /// of that size are this test's own.
+    fn sized(base: MachineDescription, dmem_words: u32) -> MachineDescription {
+        MachineDescription { dmem_words, ..base }
+    }
+
+    /// Run `workload` on `m` under the block engine (through the pool) and
+    /// under the reference loops (on a fresh image).
+    fn block_and_reference(m: &MachineDescription, workload: &str) -> (SimResult, SimResult) {
+        let w = asip_workloads::by_name(workload).unwrap();
+        let module = asip_tinyc::compile(&w.source).unwrap();
+        let (opts, backend) = (SimOptions::default(), BackendOptions::default());
+        match m.target {
+            TargetKind::Vliw => {
+                let p = compile_module(&module, m, None, &backend).unwrap().program;
+                let block = BlockVliw::new(m, &p).unwrap();
+                (
+                    block.run_with_inputs(&w.inputs, &w.args, opts).unwrap(),
+                    run_vliw_reference(m, &p, &w.inputs, &w.args, opts).unwrap(),
+                )
+            }
+            TargetKind::Scalar => {
+                let p = compile_module_scalar(&module, m, None, &backend)
+                    .unwrap()
+                    .program;
+                let block = BlockScalar::new(m, &p).unwrap();
+                (
+                    block.run_with_inputs(&w.inputs, &w.args, opts).unwrap(),
+                    run_scalar_reference(m, &p, &w.inputs, &w.args, opts).unwrap(),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn pool_parks_at_most_the_cap() {
+        // More images in flight at once than the cap, all released.
+        let words = (1 << 12) + 8;
+        let held: Vec<_> = (0..MEM_POOL_CAP + 3)
+            .map(|_| MEM_POOL.acquire(words, &[]))
+            .collect();
+        for buf in held {
+            MEM_POOL.release_scrubbed(buf, 0, words as usize);
+        }
+        assert!(MEM_POOL.parked() <= MEM_POOL_CAP);
+        // More distinct prepared engines than the cap, each run once.
+        let m = sized(MachineDescription::ember2(), (1 << 16) + 24);
+        for _ in 0..MEM_POOL_CAP + 3 {
+            block_and_reference(&m, "fir");
+        }
+        assert!(MEM_POOL.parked() <= MEM_POOL_CAP);
+    }
+
+    #[test]
+    fn image_dirtied_by_one_engine_serves_another_like_a_fresh_one() {
+        for base in [MachineDescription::ember4(), MachineDescription::scalar1()] {
+            let m = sized(base, (1 << 16) + 40);
+            // `sort` rewrites its array and stack; its scrubbed image is
+            // then the parked buffer `crc32`'s engine draws.
+            let (a, a_ref) = block_and_reference(&m, "sort");
+            assert_eq!(a, a_ref, "{}", m.name);
+            // Results omit the stack, so check the scrub directly too.
+            let parked = MEM_POOL.acquire(m.dmem_words, &[]);
+            assert!(parked.iter().all(|&v| v == 0), "{}: residue", m.name);
+            MEM_POOL.release_scrubbed(parked, 0, m.dmem_words as usize);
+            let (b, b_ref) = block_and_reference(&m, "crc32");
+            assert_eq!(b, b_ref, "{}: reused image diverged", m.name);
+        }
     }
 }

@@ -249,7 +249,7 @@ fn key_mismatched_entries_recompute_silently() {
         |files| {
             // Swap two compile-stage entries: each file is now valid,
             // checksummed — and stored under the *other* key's name. Only
-            // the full-key check in the header can reject it.
+            // the key check in the header can reject it.
             let compile: Vec<&PathBuf> = files
                 .iter()
                 .filter(|f| f.parent().unwrap().ends_with("compile"))
@@ -261,6 +261,53 @@ fn key_mismatched_entries_recompute_silently() {
             fs::rename(b, a).unwrap();
             fs::rename(&tmp, b).unwrap();
             2
+        },
+        true,
+    );
+}
+
+/// FNV-1a 64, the entry checksum.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Entries a format-1 build left behind — the header held the full
+/// rendered stage key — read as `BadVersion(1)`: each is dropped, counted
+/// as a stale drop and recomputed, with byte-identical results.
+#[test]
+fn format_v1_entries_are_dropped_and_recomputed() {
+    use asip::core::cache::entry::{decode_entry, EntryError};
+    use asip::core::{ArtifactId, StageKind};
+    use asip::isa::codec::Codec;
+    corruption_case(
+        "v1",
+        |files| {
+            for f in files {
+                let dir = f.parent().unwrap().file_name().unwrap();
+                let stage = *StageKind::ALL.iter().find(|s| dir == s.name()).unwrap();
+                let bytes = fs::read(f).unwrap();
+                // Format 2 header: magic (8), version (4), stage (1), key.
+                let key = ArtifactId::decode_all(&bytes[13..29]).unwrap();
+                let (_, payload) = decode_entry(&bytes, stage, key).unwrap();
+                let rendered = format!("{stage}\u{1f}rendered inputs of {key}");
+                let mut v1 = b"ASIPART\0".to_vec();
+                v1.extend_from_slice(&1u32.to_le_bytes());
+                v1.push(stage as u8);
+                for field in [rendered.as_bytes(), &payload] {
+                    v1.extend_from_slice(&(field.len() as u32).to_le_bytes());
+                    v1.extend_from_slice(field);
+                }
+                let checksum = fnv1a64(&v1);
+                v1.extend_from_slice(&checksum.to_le_bytes());
+                assert_eq!(
+                    decode_entry(&v1, stage, key),
+                    Err(EntryError::BadVersion(1))
+                );
+                fs::write(f, &v1).unwrap();
+            }
+            files.len()
         },
         true,
     );

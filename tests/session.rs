@@ -62,7 +62,7 @@ fn lru_eviction_recomputes_identically_under_budget() {
     let ws = suite(&["fir", "crc32", "sort"]);
     let reqs = cross_requests(&ws, &family());
     let unbounded = Session::builder().threads(2).cache_bytes(64 * MIB).build();
-    let tiny = Session::builder().threads(2).cache_bytes(64 * 1024).build();
+    let tiny = Session::builder().threads(2).cache_bytes(16 * 1024).build();
 
     let reference = unbounded.eval_batch(&reqs);
     // Two passes through the tiny session: plenty of churn.
@@ -135,7 +135,7 @@ fn dse_explore_parallel_byte_identical_and_cache_bounded() {
 
     // Same exploration under a tiny byte budget: identical results, bounded
     // memory, non-zero eviction counter.
-    let tiny = Session::builder().threads(8).cache_bytes(96 * 1024).build();
+    let tiny = Session::builder().threads(8).cache_bytes(24 * 1024).build();
     let ex_tiny = explore(&tiny, &space, &ws);
     assert_points_byte_identical(&ex_serial, &ex_tiny);
     let stats = tiny.cache_stats();
@@ -285,42 +285,49 @@ fn simulate_stage_memoization_is_recompute_identical() {
     }
 }
 
-/// Forced hash collisions (mask 0) still serve every distinct artifact
-/// correctly through the stored-key fallback.
+/// A disk entry written under stage key A and moved to key B's file name
+/// reads as a key mismatch: the next session drops it (one stale drop),
+/// recomputes B's artifact and returns outcomes identical to the first
+/// run. With 128-bit keys there are no hash buckets to force collisions
+/// in; the entry header's key check is the defense left to pin.
 #[test]
-fn hash_collision_fallback_serves_distinct_artifacts() {
-    use asip::core::{ArtifactCache, CacheConfig};
-    use std::sync::Arc;
-    let cache = Arc::new(ArtifactCache::with_config(CacheConfig {
-        byte_budget: 64 * MIB,
-        hash_mask: 0,
-        disk: None,
-    }));
-    let collide = Session::builder().cache(cache).threads(2).build();
-    let plain = Session::builder().cache_bytes(64 * MIB).threads(2).build();
-    let ws = suite(&["fir", "crc32", "rle"]);
-    let reqs = cross_requests(&ws, &family());
-    let a = collide.eval_batch(&reqs);
-    let b = plain.eval_batch(&reqs);
-    for (x, y) in a.iter().zip(&b) {
-        assert_eq!(
-            x.result.as_ref().unwrap().run.sim.cycles,
-            y.result.as_ref().unwrap().run.sim.cycles,
-            "{}/{}",
-            x.machine,
-            x.workload
-        );
-    }
-    // Second pass over the colliding cache is served from the buckets.
-    let before = collide.cache_stats();
-    let again = collide.eval_batch(&reqs);
-    let after = collide.cache_stats();
-    assert_eq!(after.misses(), before.misses(), "no recompute on re-run");
-    assert!(after.hits() > before.hits());
-    for (x, y) in again.iter().zip(&a) {
-        assert_eq!(
-            x.result.as_ref().unwrap().run.sim.cycles,
-            y.result.as_ref().unwrap().run.sim.cycles
-        );
-    }
+fn disk_entry_moved_to_another_key_is_dropped_and_recomputed() {
+    use asip::core::cache::entry::{decode_entry, EntryError};
+    use asip::core::{ArtifactId, StageKind};
+    use asip::isa::codec::Codec;
+    use std::fs;
+    let dir = std::env::temp_dir().join(format!("asip-session-moved-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let session = || Session::builder().cache_dir(&dir).threads(2).build();
+    let reqs = cross_requests(&suite(&["fir", "crc32", "rle"]), &family());
+    let baseline = session().eval_batch(&reqs);
+
+    let mut compiled: Vec<_> = fs::read_dir(dir.join("compile"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    compiled.sort();
+    assert_eq!(compiled.len(), reqs.len(), "one compile entry per cell");
+    let (a, b) = (&compiled[0], &compiled[1]);
+    // Format 2 header: magic (8), version (4), stage (1), then the key.
+    let key_b = ArtifactId::decode_all(&fs::read(b).unwrap()[13..29]).unwrap();
+    assert_eq!(
+        format!("{key_b}.art"),
+        b.file_name().unwrap().to_str().unwrap()
+    );
+    fs::rename(a, b).unwrap();
+    let moved = fs::read(b).unwrap();
+    assert_eq!(
+        decode_entry(&moved, StageKind::Compile, key_b),
+        Err(EntryError::KeyMismatch)
+    );
+
+    let s = session();
+    assert_eq!(s.eval_batch(&reqs), baseline, "never A's artifact for B");
+    let stats = s.cache_stats();
+    assert_eq!(stats.disk.stale_drops, 1, "{stats}");
+    // A's entry is gone and B's was dropped: both recompile, nothing else.
+    assert_eq!(stats.compile.misses, 2, "{stats}");
+    assert_eq!(stats.misses(), 2, "{stats}");
+    let _ = fs::remove_dir_all(&dir);
 }
