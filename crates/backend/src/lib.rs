@@ -44,6 +44,7 @@ pub mod cluster;
 pub mod codec;
 pub mod emit;
 pub mod lir;
+mod liveness;
 pub mod regalloc;
 pub mod scalar;
 pub mod sched;

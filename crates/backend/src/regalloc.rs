@@ -10,19 +10,33 @@
 
 use crate::cluster::Homes;
 use crate::lir::{FrameRef, LFunc, LImm, LOp, LVal, RETV};
-use crate::sched::{effective_defs, effective_reads, LBundle, ScheduledFunc};
+use crate::liveness::{dense, Liveness};
+use crate::sched::{effective_defs, effective_reads, ScheduledFunc};
 use asip_ir::inst::VReg;
 use asip_isa::{MachineDescription, Opcode, Reg};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Result of one allocation attempt.
 #[derive(Debug)]
 pub enum AllocOutcome {
     /// Every interval got a register.
-    Assigned(HashMap<VReg, Reg>),
+    Assigned(Assignment),
     /// These virtual registers must be spilled; rewrite and retry.
     Spill(Vec<VReg>),
+}
+
+/// A complete register assignment, indexed by virtual register.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Assignment {
+    regs: Vec<Option<Reg>>,
+}
+
+impl Assignment {
+    /// The physical register assigned to `v`, if it has one.
+    pub fn get(&self, v: VReg) -> Option<Reg> {
+        self.regs.get(v.0 as usize).copied().flatten()
+    }
 }
 
 /// Allocation failure after all retries.
@@ -62,57 +76,6 @@ struct Interval {
     spillable: bool,
 }
 
-/// Block-level liveness over the *scheduled* function.
-fn scheduled_liveness(s: &ScheduledFunc, f: &LFunc) -> Vec<BTreeSet<VReg>> {
-    // Successors come from branch targets in the scheduled ops.
-    let n = s.blocks.len();
-    let mut uses = vec![BTreeSet::new(); n];
-    let mut defs = vec![BTreeSet::new(); n];
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, block) in s.blocks.iter().enumerate() {
-        for bu in block {
-            for op in bu.slots.iter().flatten() {
-                for r in effective_reads(op) {
-                    if !defs[i].contains(&r) {
-                        uses[i].insert(r);
-                    }
-                }
-                for d in effective_defs(op) {
-                    defs[i].insert(d);
-                }
-                if op.is_branch() {
-                    if let crate::lir::LTarget::Block(t) = op.target {
-                        succ[i].push(t);
-                    }
-                }
-            }
-        }
-    }
-    let mut live_in = vec![BTreeSet::new(); n];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..n).rev() {
-            let mut out: BTreeSet<VReg> = BTreeSet::new();
-            for &sx in &succ[i] {
-                out.extend(live_in[sx as usize].iter().copied());
-            }
-            let mut inp = uses[i].clone();
-            for r in out {
-                if !defs[i].contains(&r) {
-                    inp.insert(r);
-                }
-            }
-            if inp != live_in[i] {
-                live_in[i] = inp;
-                changed = true;
-            }
-        }
-    }
-    let _ = f;
-    live_in
-}
-
 /// Positions (in the interval numbering) of every `Call` bundle.
 fn call_positions(s: &ScheduledFunc) -> Vec<u32> {
     let mut pos = 0u32;
@@ -141,97 +104,75 @@ fn build_intervals(
     homes: &Homes,
     spill_temps: &BTreeSet<VReg>,
 ) -> Vec<Interval> {
-    let live_in = scheduled_liveness(s, f);
-    // live_out per block = union of succ live_in.
-    let n = s.blocks.len();
-    let mut succ: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for (i, block) in s.blocks.iter().enumerate() {
-        for bu in block {
-            for op in bu.slots.iter().flatten() {
-                if op.is_branch() {
-                    if let crate::lir::LTarget::Block(t) = op.target {
-                        succ[i].push(t);
-                    }
-                }
-            }
-        }
-    }
+    let nv = f.num_vregs;
+    let ops = s
+        .blocks
+        .iter()
+        .map(|b| b.iter().flat_map(|bu| bu.slots.iter().flatten()));
+    let live = Liveness::solve(nv, ops);
 
-    #[derive(Default, Clone)]
+    /// First position touched, last read, last def (`u32::MAX`/`None`
+    /// when never).
+    #[derive(Clone, Copy)]
     struct Acc {
-        min: Option<u32>,
+        min: u32,
         max_use: Option<u32>,
         max_def: Option<u32>,
     }
-    let mut acc: BTreeMap<VReg, Acc> = BTreeMap::new();
-
-    // Position layout.
-    let mut block_start = vec![0u32; n];
-    let mut pos = 0u32;
-    for (i, block) in s.blocks.iter().enumerate() {
-        block_start[i] = pos;
-        pos += block.len() as u32 + 1; // +1 separator keeps blocks disjoint
-    }
-
-    let touch_min = |a: &mut Acc, p: u32| {
-        a.min = Some(a.min.map_or(p, |m| m.min(p)));
+    let untouched = Acc {
+        min: u32::MAX,
+        max_use: None,
+        max_def: None,
     };
-
+    let mut acc = vec![untouched; nv as usize + 1];
+    let mut bstart = 0u32;
     for (i, block) in s.blocks.iter().enumerate() {
-        let bstart = block_start[i];
         let bend = bstart + block.len() as u32;
-        for r in &live_in[i] {
-            let a = acc.entry(*r).or_default();
-            touch_min(a, bstart);
+        for r in live.live_in[i].iter() {
+            acc[r].min = acc[r].min.min(bstart);
         }
-        // live_out: if r is live into any successor, extend to block end.
-        let mut live_out: BTreeSet<VReg> = BTreeSet::new();
-        for &sx in &succ[i] {
-            live_out.extend(live_in[sx as usize].iter().copied());
+        // Live out: extend to block end.
+        for r in live.live_out[i].iter() {
+            acc[r].min = acc[r].min.min(bstart);
+            acc[r].max_use = acc[r].max_use.max(Some(bend));
         }
-        for r in &live_out {
-            let a = acc.entry(*r).or_default();
-            touch_min(a, bstart);
-            a.max_use = Some(a.max_use.map_or(bend, |m| m.max(bend)));
-        }
-        for (k, bu) in block.iter().enumerate() {
-            let p = bstart + k as u32;
+        for (p, bu) in (bstart..).zip(block) {
             for op in bu.slots.iter().flatten() {
-                for r in effective_reads(op) {
-                    let a = acc.entry(r).or_default();
-                    touch_min(a, p);
-                    a.max_use = Some(a.max_use.map_or(p, |m| m.max(p)));
+                for r in effective_reads(op).map(|r| dense(r, nv)) {
+                    acc[r].min = acc[r].min.min(p);
+                    acc[r].max_use = acc[r].max_use.max(Some(p));
                 }
-                for d in effective_defs(op) {
-                    let a = acc.entry(d).or_default();
-                    touch_min(a, p);
-                    a.max_def = Some(a.max_def.map_or(p, |m| m.max(p)));
+                for d in effective_defs(op).map(|d| dense(d, nv)) {
+                    acc[d].min = acc[d].min.min(p);
+                    acc[d].max_def = acc[d].max_def.max(Some(p));
                 }
             }
         }
+        bstart = bend + 1; // separator keeps blocks disjoint
     }
 
-    let mut out = Vec::with_capacity(acc.len());
-    for (v, a) in acc {
-        if v == RETV {
-            continue; // pinned physical register
-        }
-        let start = a.min.unwrap_or(0);
-        let end = match (a.max_use, a.max_def) {
-            (Some(u), Some(d)) => u.max(d + 1),
-            (Some(u), None) => u,
-            (None, Some(d)) => d + 1,
-            (None, None) => start + 1,
-        };
-        out.push(Interval {
-            vreg: v,
-            cluster: homes.of(v),
-            start,
-            end,
-            spillable: v != f.vfp && !spill_temps.contains(&v),
-        });
-    }
-    out.sort_by_key(|iv| (iv.start, iv.vreg));
+    // The last index is RETV, a pinned physical register.
+    let mut out: Vec<Interval> = (0u32..nv)
+        .zip(acc)
+        .filter(|(_, a)| a.min != u32::MAX)
+        .map(|(v, a)| {
+            let (vreg, start) = (VReg(v), a.min);
+            let end = match (a.max_use, a.max_def) {
+                (Some(u), Some(d)) => u.max(d + 1),
+                (Some(u), None) => u,
+                (None, Some(d)) => d + 1,
+                (None, None) => start + 1,
+            };
+            Interval {
+                vreg,
+                cluster: homes.of(vreg),
+                start,
+                end,
+                spillable: vreg != f.vfp && !spill_temps.contains(&vreg),
+            }
+        })
+        .collect();
+    out.sort_unstable_by_key(|iv| (iv.start, iv.vreg));
     out
 }
 
@@ -292,17 +233,14 @@ pub fn try_allocate(
     for idx in 0..intervals.len() {
         let (start, cluster) = (intervals[idx].start, intervals[idx].cluster);
         // Expire.
-        let mut still = Vec::with_capacity(active.len());
-        for &(end, ai) in &active {
+        active.retain(|&(end, ai)| {
             if end <= start {
                 if let Some(r) = assignment[ai] {
                     free[intervals[ai].cluster as usize].push(r);
                 }
-            } else {
-                still.push((end, ai));
             }
-        }
-        active = still;
+            end > start
+        });
 
         if let Some(r) = free[cluster as usize].pop() {
             assignment[idx] = Some(r);
@@ -366,17 +304,12 @@ pub fn try_allocate(
         spills.dedup();
         return Ok(AllocOutcome::Spill(spills));
     }
-    let map: HashMap<VReg, Reg> = intervals
-        .iter()
-        .zip(&assignment)
-        .map(|(iv, a)| {
-            (
-                iv.vreg,
-                Reg::new(iv.cluster, a.expect("no spills means all assigned")),
-            )
-        })
-        .collect();
-    Ok(AllocOutcome::Assigned(map))
+    let mut regs = vec![None; f.num_vregs as usize];
+    for (iv, a) in intervals.iter().zip(assignment) {
+        let index = a.expect("no spills means all assigned");
+        regs[iv.vreg.0 as usize] = Some(Reg::new(iv.cluster, index));
+    }
+    Ok(AllocOutcome::Assigned(Assignment { regs }))
 }
 
 /// Rewrite the unscheduled LIR, homing `spilled` registers on the stack.
@@ -384,27 +317,36 @@ pub fn try_allocate(
 /// (they must never themselves be spilled). The caller re-runs cluster
 /// assignment and scheduling on the rewritten function.
 pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut BTreeSet<VReg>) {
-    let slots: HashMap<VReg, u32> = spilled.iter().map(|&v| (v, f.new_spill_slot())).collect();
+    let mut slots: Vec<Option<u32>> = vec![None; f.num_vregs as usize];
+    for &v in spilled {
+        slots[v.0 as usize] = Some(f.new_spill_slot());
+    }
+    let slot_of = |v: VReg| slots.get(v.0 as usize).copied().flatten();
+    // This op's reloads: (spilled register, reload temporary).
+    let mut reloads: Vec<(VReg, VReg)> = Vec::new();
     for bi in 0..f.blocks.len() {
         let ops = std::mem::take(&mut f.blocks[bi].ops);
         let mut out = Vec::with_capacity(ops.len() * 2);
         for mut op in ops {
             // Reloads for spilled sources.
-            let mut reload_map: HashMap<VReg, VReg> = HashMap::new();
+            reloads.clear();
             for s in op.srcs.iter_mut() {
                 if let LVal::Reg(r) = *s {
-                    if let Some(&slot) = slots.get(&r) {
-                        let t = *reload_map.entry(r).or_insert_with(|| {
-                            let t = f.num_vregs;
-                            f.num_vregs += 1;
-                            let t = VReg(t);
-                            spill_temps.insert(t);
-                            let mut ld = LOp::new(Opcode::Ldw, vec![t], vec![LVal::Reg(f.vfp)]);
-                            ld.imm = LImm::Frame(FrameRef::Spill(slot));
-                            ld.spill = true;
-                            out.push(ld);
-                            t
-                        });
+                    if let Some(slot) = slot_of(r) {
+                        let t = match reloads.iter().find(|&&(v, _)| v == r) {
+                            Some(&(_, t)) => t,
+                            None => {
+                                let t = VReg(f.num_vregs);
+                                f.num_vregs += 1;
+                                spill_temps.insert(t);
+                                let mut ld = LOp::new(Opcode::Ldw, vec![t], vec![LVal::Reg(f.vfp)]);
+                                ld.imm = LImm::Frame(FrameRef::Spill(slot));
+                                ld.spill = true;
+                                out.push(ld);
+                                reloads.push((r, t));
+                                t
+                            }
+                        };
                         *s = LVal::Reg(t);
                     }
                 }
@@ -412,7 +354,7 @@ pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut BTreeSe
             // Stores for spilled destinations.
             let mut post: Vec<LOp> = Vec::new();
             for d in op.dsts.iter_mut() {
-                if let Some(&slot) = slots.get(d) {
+                if let Some(slot) = slot_of(*d) {
                     let t = VReg(f.num_vregs);
                     f.num_vregs += 1;
                     spill_temps.insert(t);
@@ -432,36 +374,31 @@ pub fn rewrite_spills(f: &mut LFunc, spilled: &[VReg], spill_temps: &mut BTreeSe
 }
 
 /// Substitute physical registers into a scheduled function.
-pub fn apply_assignment(s: &mut ScheduledFunc, map: &HashMap<VReg, Reg>) {
-    let lookup = |v: VReg| -> Reg {
-        if v == RETV {
+pub fn apply_assignment(s: &mut ScheduledFunc, map: &Assignment) {
+    // Registers travel packed in a VReg (cluster << 16 | index) until
+    // emission decodes them with [`packed_to_reg`].
+    let packed = |v: VReg| -> VReg {
+        let phys = if v == RETV {
             Reg::RETVAL
         } else {
-            *map.get(&v).unwrap_or(&Reg::ZERO)
-        }
+            map.get(v).unwrap_or(Reg::ZERO)
+        };
+        VReg((u32::from(phys.cluster) << 16) | u32::from(phys.index))
     };
     for block in &mut s.blocks {
         for bu in block {
             for op in bu.slots.iter_mut().flatten() {
                 for d in op.dsts.iter_mut() {
-                    // dsts become physical via the parallel array in emit;
-                    // here we only canonicalize the vreg numbering into the
-                    // physical space by reusing VReg to carry (cluster<<16|idx).
-                    let phys = lookup(*d);
-                    *d = VReg((u32::from(phys.cluster) << 16) | u32::from(phys.index));
+                    *d = packed(*d);
                 }
                 for sv in op.srcs.iter_mut() {
                     if let LVal::Reg(r) = *sv {
-                        let phys = lookup(r);
-                        *sv = LVal::Reg(VReg(
-                            (u32::from(phys.cluster) << 16) | u32::from(phys.index),
-                        ));
+                        *sv = LVal::Reg(packed(r));
                     }
                 }
             }
         }
     }
-    let _ = LBundle::default();
 }
 
 /// Decode the packed physical register produced by [`apply_assignment`].
@@ -476,7 +413,7 @@ mod tests {
     use crate::lir::lower_module;
     use crate::sched::schedule_function;
 
-    fn pipeline(src: &str, m: &MachineDescription) -> (LFunc, ScheduledFunc, HashMap<VReg, Reg>) {
+    fn pipeline(src: &str, m: &MachineDescription) -> (LFunc, ScheduledFunc, Assignment) {
         let mut module = asip_tinyc::compile(src).unwrap();
         asip_ir::passes::optimize(&mut module, &asip_ir::passes::OptConfig::default());
         let mut lf = lower_module(&module, m, "main").unwrap().funcs.remove(0);
@@ -509,7 +446,7 @@ mod tests {
         let m = MachineDescription::ember4();
         let (lf, _s, map) = pipeline("void main(int a, int b) { emit(a + b); }", &m);
         assert!(lf.spill_slots == 0);
-        for r in map.values() {
+        for r in (0..lf.num_vregs).filter_map(|v| map.get(VReg(v))) {
             assert!(r.cluster < m.clusters);
             assert!(r.index < m.regs_per_cluster);
             assert!(
@@ -546,7 +483,7 @@ mod tests {
         for i in 0..ivs.len() {
             for j in (i + 1)..ivs.len() {
                 let (a, b) = (&ivs[i], &ivs[j]);
-                let (Some(ra), Some(rb)) = (map.get(&a.vreg), map.get(&b.vreg)) else {
+                let (Some(ra), Some(rb)) = (map.get(a.vreg), map.get(b.vreg)) else {
                     continue;
                 };
                 if ra == rb {
